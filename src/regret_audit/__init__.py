@@ -17,7 +17,6 @@ from .errors import (
 )
 from .estimators import (
     DEFAULT_EVAL_BUDGET,
-    GRID_METHODS,
     METHOD_EXHAUSTIVE,
     METHOD_GUIDED,
     METHOD_ITEM,
@@ -26,15 +25,16 @@ from .estimators import (
     METHOD_PGA,
     GridSpec,
     RegretEstimate,
-    audit_all_bidders,
     exhaustive_regret,
     item_regret,
     item_wise_regret,
     lower_bound_regret,
 )
 from .harness import (
+    GRID_METHODS,
     RUN_METHODS,
     AuditRunConfig,
+    audit_all_bidders,
     resolve_mechanism,
     run_audit,
     run_sweep,
@@ -60,7 +60,6 @@ from .optimizer import (
     PGA_PRESETS,
     PORTFOLIO_PRESETS,
     PgaConfig,
-    Portfolio,
     PortfolioConfig,
     build_portfolio,
     guided_refinement,

@@ -14,14 +14,15 @@ Four estimators share one discretization of the bid interval:
 The truthful row is always part of the scanned candidate set (appended when
 it is off-grid), so every estimate is exactly nonnegative. Each estimator
 reports the number of mechanism evaluations it consumed, measured by the
-mechanism's counter.
+mechanism's counter. The per-item estimators derive from one ``ItemScan``,
+which a caller already holding it passes as ``scan=``.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -41,9 +42,6 @@ METHOD_LOWER_BOUND = "lower_bound"
 METHOD_ITEM_WISE = "item_wise"
 METHOD_PGA = "pga"
 METHOD_GUIDED = "guided"
-
-#: grid methods runnable through audit_all_bidders, in canonical order
-GRID_METHODS = (METHOD_EXHAUSTIVE, METHOD_ITEM, METHOD_LOWER_BOUND, METHOD_ITEM_WISE)
 
 
 @dataclass(frozen=True)
@@ -86,18 +84,69 @@ class RegretEstimate:
     flagged: bool = False
 
     def __post_init__(self):
-        if self.value < 0.0:
+        if not self.value >= 0.0:
             raise InvalidInputError(f"regret estimate must be >= 0, got {self.value}")
 
 
-def _check_bidder(mech: Mechanism, bidder: int) -> None:
+def _prepare(mech: Mechanism, profile, bidder: int):
+    """Every estimator's preamble: the validated profile and the truthful
+    utility (one evaluation) that every gain is measured against."""
+    profile = as_profile(profile, mech.setting)
     if not 0 <= bidder < mech.setting.n:
         raise InvalidInputError(f"bidder {bidder} out of range for n={mech.setting.n}")
+    base = float(evaluate_misreports(mech, profile, bidder, profile[bidder][None, :])[0])
+    if not np.isfinite(base):
+        raise InvalidInputError(
+            f"mechanism gives bidder {bidder} a non-finite truthful utility ({base})")
+    return profile, base
 
 
-def _truthful_utility(mech, profile, bidder) -> float:
-    # one evaluation; the baseline every gain is measured against
-    return float(evaluate_misreports(mech, profile, bidder, profile[bidder][None, :])[0])
+def _clamp_gain(gain: float, row: np.ndarray, truthful: np.ndarray):
+    """(gain, row) for a strict gain, else (0.0, truthful row)."""
+    if gain <= 0.0:
+        return 0.0, truthful.copy()
+    return gain, row
+
+
+@dataclass(frozen=True)
+class ItemScan:
+    """Per item j, the clamped best gain ``gains[j]`` of moving coordinate j
+    alone over the grid, reached at ``coords[j]`` (truthful if nothing gains)."""
+
+    truthful: np.ndarray
+    base: float
+    gains: np.ndarray
+    coords: np.ndarray
+    evaluations: int
+
+    def row(self, item: int) -> np.ndarray:
+        """The truthful row with ``item`` moved to its best coordinate."""
+        row = self.truthful.copy()
+        row[item] = self.coords[item]
+        return row
+
+
+def _scan_all_items(mech: Mechanism, profile, bidder: int, grid: GridSpec) -> ItemScan:
+    """Scan each item's coordinate over the grid, others truthful: one
+    truthful evaluation, then q+1 rows per item plus one more per off-grid
+    truthful coordinate, which pins that item's gain floor at 0."""
+    evals0 = mech.evaluations
+    profile, base = _prepare(mech, profile, bidder)
+    pts = grid.points
+    truthful = profile[bidder]
+    m = truthful.shape[0]
+    gains = np.empty(m)
+    coords = np.empty(m)
+    for j in range(m):
+        rows = np.broadcast_to(truthful, (pts.size, m)).copy()
+        rows[:, j] = pts
+        item_gains = evaluate_misreports(mech, profile, bidder, rows) - base
+        i = int(np.argmax(item_gains))
+        if not np.isin(truthful[j], pts):
+            evaluate_misreports(mech, profile, bidder, truthful[None, :])
+        gains[j], row = _clamp_gain(float(item_gains[i]), rows[i], truthful)
+        coords[j] = row[j]
+    return ItemScan(truthful.copy(), base, gains, coords, mech.evaluations - evals0)
 
 
 def exhaustive_regret(mech: Mechanism, profile, bidder: int, grid: GridSpec,
@@ -111,8 +160,6 @@ def exhaustive_regret(mech: Mechanism, profile, bidder: int, grid: GridSpec,
     ``max_evals``.
     """
     t0 = time.perf_counter()
-    profile = as_profile(profile, mech.setting)
-    _check_bidder(mech, bidder)
     pts = grid.points
     m = mech.setting.m
     total = int(pts.size) ** m
@@ -120,7 +167,7 @@ def exhaustive_regret(mech: Mechanism, profile, bidder: int, grid: GridSpec,
         raise BudgetExceededError(required=total, budget=max_evals)
 
     evals0 = mech.evaluations
-    base = _truthful_utility(mech, profile, bidder)
+    profile, base = _prepare(mech, profile, bidder)
 
     shape = (pts.size,) * m
     best_gain = -np.inf
@@ -138,122 +185,47 @@ def exhaustive_regret(mech: Mechanism, profile, bidder: int, grid: GridSpec,
         # truthful row off-grid: scanned in addition, pinning the gain floor at 0
         evaluate_misreports(mech, profile, bidder, profile[bidder][None, :])
 
-    if best_gain <= 0.0:
-        value, best_row = 0.0, profile[bidder].copy()
-    else:
-        value = best_gain
+    value, best_row = _clamp_gain(best_gain, best_row, profile[bidder])
     return RegretEstimate(METHOD_EXHAUSTIVE, bidder, value, best_row,
                           mech.evaluations - evals0, time.perf_counter() - t0)
 
 
-def _scan_item(mech, profile, bidder, item, grid, base):
-    """Best single-coordinate grid deviation for one item.
-
-    Returns (clamped gain, best coordinate value). The truthful coordinate is
-    evaluated in addition when off-grid; with no strict improvement the
-    result is (0.0, truthful coordinate).
-    """
-    pts = grid.points
-    rows = np.broadcast_to(profile[bidder], (pts.size, profile.shape[1])).copy()
-    rows[:, item] = pts
-    gains = evaluate_misreports(mech, profile, bidder, rows) - base
-    i = int(np.argmax(gains))
-    if not np.isin(profile[bidder, item], pts):
-        evaluate_misreports(mech, profile, bidder, profile[bidder][None, :])
-    if gains[i] <= 0.0:
-        return 0.0, float(profile[bidder, item])
-    return float(gains[i]), float(pts[i])
-
-
-def item_regret(mech: Mechanism, profile, bidder: int, item: int,
-                grid: GridSpec) -> RegretEstimate:
+def item_regret(mech: Mechanism, profile, bidder: int, item: int, grid: GridSpec,
+                scan: Optional[ItemScan] = None) -> RegretEstimate:
     """Regret from deviating on a single item, all other coordinates truthful."""
     t0 = time.perf_counter()
-    profile = as_profile(profile, mech.setting)
-    _check_bidder(mech, bidder)
     if not 0 <= item < mech.setting.m:
         raise InvalidInputError(f"item {item} out of range for m={mech.setting.m}")
-    evals0 = mech.evaluations
-    base = _truthful_utility(mech, profile, bidder)
-    gain, coord = _scan_item(mech, profile, bidder, item, grid, base)
-    row = profile[bidder].copy()
-    row[item] = coord
-    return RegretEstimate(METHOD_ITEM, bidder, gain, row,
-                          mech.evaluations - evals0, time.perf_counter() - t0)
+    if scan is None:
+        scan = _scan_all_items(mech, profile, bidder, grid)
+    return RegretEstimate(METHOD_ITEM, bidder, float(scan.gains[item]), scan.row(item),
+                          scan.evaluations, time.perf_counter() - t0)
 
 
-def _scan_all_items(mech, profile, bidder, grid, base):
-    gains = np.empty(mech.setting.m)
-    coords = np.empty(mech.setting.m)
-    for j in range(mech.setting.m):
-        gains[j], coords[j] = _scan_item(mech, profile, bidder, j, grid, base)
-    return gains, coords
-
-
-def lower_bound_regret(mech: Mechanism, profile, bidder: int,
-                       grid: GridSpec) -> RegretEstimate:
+def lower_bound_regret(mech: Mechanism, profile, bidder: int, grid: GridSpec,
+                       scan: Optional[ItemScan] = None) -> RegretEstimate:
     """Maximum per-item regret: a provable lower bound on the true regret.
 
     Any gradient-based estimate falling below this value has missed a
     deviation that a single-coordinate scan already found.
     """
     t0 = time.perf_counter()
-    profile = as_profile(profile, mech.setting)
-    _check_bidder(mech, bidder)
-    evals0 = mech.evaluations
-    base = _truthful_utility(mech, profile, bidder)
-    gains, coords = _scan_all_items(mech, profile, bidder, grid, base)
-    j = int(np.argmax(gains))
-    row = profile[bidder].copy()
-    row[j] = coords[j]
-    return RegretEstimate(METHOD_LOWER_BOUND, bidder, float(gains[j]), row,
-                          mech.evaluations - evals0, time.perf_counter() - t0)
+    if scan is None:
+        scan = _scan_all_items(mech, profile, bidder, grid)
+    j = int(np.argmax(scan.gains))
+    return RegretEstimate(METHOD_LOWER_BOUND, bidder, float(scan.gains[j]), scan.row(j),
+                          scan.evaluations, time.perf_counter() - t0)
 
 
-def item_wise_regret(mech: Mechanism, profile, bidder: int,
-                     grid: GridSpec) -> RegretEstimate:
+def item_wise_regret(mech: Mechanism, profile, bidder: int, grid: GridSpec,
+                     scan: Optional[ItemScan] = None) -> RegretEstimate:
     """Sum of per-item regrets; linear cost, at most m times the optimum.
 
     The sum does not correspond to a single deviation, so no misreport is
     reported.
     """
     t0 = time.perf_counter()
-    profile = as_profile(profile, mech.setting)
-    _check_bidder(mech, bidder)
-    evals0 = mech.evaluations
-    base = _truthful_utility(mech, profile, bidder)
-    gains, _ = _scan_all_items(mech, profile, bidder, grid, base)
-    return RegretEstimate(METHOD_ITEM_WISE, bidder, float(gains.sum()), None,
-                          mech.evaluations - evals0, time.perf_counter() - t0)
-
-
-def audit_all_bidders(mech: Mechanism, profile, grid: GridSpec,
-                      methods: Sequence[str],
-                      max_evals: int = DEFAULT_EVAL_BUDGET) -> list[RegretEstimate]:
-    """Run the requested grid estimators for every bidder.
-
-    Results are ordered by (bidder, canonical method order, item). An empty
-    method set yields an empty list.
-    """
-    methods = set(methods)
-    unknown = methods - set(GRID_METHODS)
-    if unknown:
-        raise InvalidInputError(
-            f"unsupported grid methods {sorted(unknown)}; expected a subset of {GRID_METHODS}"
-        )
-    profile = as_profile(profile, mech.setting)
-    out: list[RegretEstimate] = []
-    for bidder in range(mech.setting.n):
-        for method in GRID_METHODS:
-            if method not in methods:
-                continue
-            if method == METHOD_EXHAUSTIVE:
-                out.append(exhaustive_regret(mech, profile, bidder, grid, max_evals=max_evals))
-            elif method == METHOD_ITEM:
-                out.extend(item_regret(mech, profile, bidder, j, grid)
-                           for j in range(mech.setting.m))
-            elif method == METHOD_LOWER_BOUND:
-                out.append(lower_bound_regret(mech, profile, bidder, grid))
-            else:
-                out.append(item_wise_regret(mech, profile, bidder, grid))
-    return out
+    if scan is None:
+        scan = _scan_all_items(mech, profile, bidder, grid)
+    return RegretEstimate(METHOD_ITEM_WISE, bidder, float(scan.gains.sum()), None,
+                          scan.evaluations, time.perf_counter() - t0)

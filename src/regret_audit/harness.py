@@ -5,6 +5,7 @@ keyed by sample index only), so cross-method orderings hold per sample
 without statistical noise. Samples are independent and may be fanned out to
 a process pool; records are assembled in (sample, bidder, method) order, so
 parallel and serial runs produce identical reports up to wall-clock fields.
+Methods are dispatched through one ordered registry, ``METHODS``.
 """
 
 from __future__ import annotations
@@ -13,21 +14,27 @@ import csv
 import os
 import time
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Union
+from typing import Callable, List, Optional, Sequence, Union
 
 from concurrent.futures import ProcessPoolExecutor
 
-from . import rng
-from .errors import InvalidConfigError, MechanismLoadError
+import numpy as np
+
+from . import estimators, rng
+from .errors import InvalidConfigError, InvalidInputError, MechanismLoadError
 from .estimators import (
     DEFAULT_EVAL_BUDGET,
     METHOD_EXHAUSTIVE,
     METHOD_GUIDED,
+    METHOD_ITEM,
     METHOD_ITEM_WISE,
     METHOD_LOWER_BOUND,
     METHOD_PGA,
     GridSpec,
+    ItemScan,
+    RegretEstimate,
     exhaustive_regret,
+    item_regret,
     item_wise_regret,
     lower_bound_regret,
 )
@@ -45,9 +52,55 @@ from .sampling import ValuationDistribution, sample_valuations
 
 THREADS_ENV_VAR = "REGRET_AUDIT_THREADS"
 
+
+@dataclass(frozen=True)
+class _Cell:
+    """One (sample, bidder) of an audit and the settings its methods read."""
+
+    mech: Mechanism
+    profile: np.ndarray
+    bidder: int
+    grid: GridSpec
+    guided_grid: GridSpec
+    max_evals: int
+    pga: Optional[PgaConfig] = None
+    portfolio: Optional[PortfolioConfig] = None
+    seed: Optional[int] = None  # search seed; None for grid-only runs
+
+
+@dataclass(frozen=True)
+class _Method:
+    #: (cell, item scan or None) -> the method's estimates in record order
+    estimate: Callable[[_Cell, Optional[ItemScan]], List[RegretEstimate]]
+    #: the cell grid whose item scan the method derives from
+    scan_grid: Optional[str] = None
+    #: reads the search seed, so audit_all_bidders cannot run it
+    searches: bool = False
+
+
+#: every method in canonical record order. The estimator functions are looked
+#: up by name at call time, so wrappers bound on this module see every call.
+METHODS = {
+    METHOD_EXHAUSTIVE: _Method(lambda c, _: [exhaustive_regret(
+        c.mech, c.profile, c.bidder, c.grid, max_evals=c.max_evals)]),
+    METHOD_ITEM: _Method(lambda c, scan: [
+        item_regret(c.mech, c.profile, c.bidder, j, c.grid, scan=scan)
+        for j in range(c.mech.setting.m)], scan_grid="grid"),
+    METHOD_LOWER_BOUND: _Method(lambda c, scan: [lower_bound_regret(
+        c.mech, c.profile, c.bidder, c.grid, scan=scan)], scan_grid="grid"),
+    METHOD_ITEM_WISE: _Method(lambda c, scan: [item_wise_regret(
+        c.mech, c.profile, c.bidder, c.grid, scan=scan)], scan_grid="grid"),
+    METHOD_PGA: _Method(lambda c, _: [random_restart_pga(
+        c.mech, c.profile, c.bidder, c.pga, c.seed)], searches=True),
+    METHOD_GUIDED: _Method(lambda c, scan: [guided_refinement(
+        c.mech, c.profile, c.bidder, c.guided_grid, c.portfolio, c.seed, scan=scan)],
+        scan_grid="guided_grid", searches=True),
+}
+
 #: methods run_audit can execute, in canonical record order
-RUN_METHODS = (METHOD_EXHAUSTIVE, METHOD_LOWER_BOUND, METHOD_ITEM_WISE,
-               METHOD_PGA, METHOD_GUIDED)
+RUN_METHODS = tuple(METHODS)
+#: methods that need no run seed, runnable through audit_all_bidders
+GRID_METHODS = tuple(name for name, method in METHODS.items() if not method.searches)
 
 SWEEP_CSV_COLUMNS = ("L", "R", "mean_regret", "mech_evals", "gradient_steps", "wall_seconds")
 
@@ -76,13 +129,15 @@ class AuditRunConfig:
             raise InvalidConfigError(f"samples must be >= 1, got {self.samples}")
         if not self.methods:
             raise InvalidConfigError("methods must be nonempty")
-        unknown = set(self.methods) - set(RUN_METHODS)
-        if unknown:
-            raise InvalidConfigError(
-                f"unknown methods {sorted(unknown)}; expected a subset of {RUN_METHODS}"
-            )
-        # canonical order makes record layout independent of input order
-        self.methods = tuple(m for m in RUN_METHODS if m in set(self.methods))
+        self.methods = _canonical_methods(self.methods, RUN_METHODS, InvalidConfigError)
+
+
+def _canonical_methods(methods, allowed: tuple, error) -> tuple:
+    """``methods`` in canonical order, so record layout ignores input order."""
+    unknown = set(methods) - set(allowed)
+    if unknown:
+        raise error(f"unknown methods {sorted(unknown)}; expected a subset of {allowed}")
+    return tuple(m for m in allowed if m in set(methods))
 
 
 def resolve_mechanism(source: MechanismSource, setting: AuctionSetting) -> Mechanism:
@@ -136,28 +191,52 @@ def config_echo(cfg: AuditRunConfig) -> dict:
     return echo
 
 
-def _estimate_one(mech: Mechanism, cfg: AuditRunConfig, profile, sample: int,
-                  bidder: int, method: str):
-    if method == METHOD_EXHAUSTIVE:
-        return exhaustive_regret(mech, profile, bidder, cfg.grid, max_evals=cfg.max_grid_evals)
-    if method == METHOD_LOWER_BOUND:
-        return lower_bound_regret(mech, profile, bidder, cfg.grid)
-    if method == METHOD_ITEM_WISE:
-        return item_wise_regret(mech, profile, bidder, cfg.grid)
-    search_seed = rng.derive_seed(cfg.seed, rng.STREAM_SEARCH, sample, bidder)
-    if method == METHOD_PGA:
-        return random_restart_pga(mech, profile, bidder, cfg.pga, search_seed)
-    grid = cfg.guided_grid if cfg.guided_grid is not None else cfg.grid
-    return guided_refinement(mech, profile, bidder, grid, cfg.portfolio, search_seed)
+def _cell_estimates(cell: _Cell, methods: tuple) -> List[RegretEstimate]:
+    """Run canonically ordered ``methods`` on one (sample, bidder).
+
+    At most one item scan is computed per distinct grid, and every method
+    derived from it shares it. Each of their records still counts the
+    scan's full evaluations; its seconds go to the first record using it.
+    """
+    scans = {}
+    out: List[RegretEstimate] = []
+    for name in methods:
+        method = METHODS[name]
+        t0 = time.perf_counter()
+        grid = getattr(cell, method.scan_grid) if method.scan_grid else None
+        if grid is not None and grid not in scans:
+            # looked up on the module at call time, like the estimators above
+            scans[grid] = estimators._scan_all_items(cell.mech, cell.profile, cell.bidder, grid)
+        scan_seconds = time.perf_counter() - t0
+        estimates = method.estimate(cell, scans.get(grid))
+        estimates[0].wall_seconds += scan_seconds
+        out.extend(estimates)
+    return out
+
+
+def audit_all_bidders(mech: Mechanism, profile, grid: GridSpec,
+                      methods: Sequence[str],
+                      max_evals: int = DEFAULT_EVAL_BUDGET) -> List[RegretEstimate]:
+    """Run the requested grid estimators for every bidder.
+
+    Results are ordered by (bidder, canonical method order, item). An empty
+    method set yields an empty list.
+    """
+    methods = _canonical_methods(methods, GRID_METHODS, InvalidInputError)
+    return [est for bidder in range(mech.setting.n)
+            for est in _cell_estimates(_Cell(mech, profile, bidder, grid, grid, max_evals),
+                                       methods)]
 
 
 def _sample_records(mech: Mechanism, cfg: AuditRunConfig, sample: int) -> List[AuditRecord]:
     profile = sample_valuations(cfg.distribution, cfg.setting, sample, cfg.seed)
     records = []
     for bidder in range(cfg.setting.n):
-        for method in cfg.methods:
-            est = _estimate_one(mech, cfg, profile, sample, bidder, method)
-            records.append(AuditRecord(sample=sample, estimate=est))
+        cell = _Cell(mech, profile, bidder, cfg.grid, cfg.guided_grid or cfg.grid,
+                     cfg.max_grid_evals, cfg.pga, cfg.portfolio,
+                     rng.derive_seed(cfg.seed, rng.STREAM_SEARCH, sample, bidder))
+        records.extend(AuditRecord(sample=sample, estimate=est)
+                       for est in _cell_estimates(cell, cfg.methods))
     return records
 
 

@@ -58,12 +58,8 @@ class Mechanism:
     incremented under a lock, by exactly one per evaluated profile.
     """
 
-    #: allocation and payment decompose per item (item-wise regret is exact)
-    separable = False
     #: provides utility_and_gradient_many instead of finite differences
     has_analytic_gradient = False
-    #: same input implies bitwise-identical output; required by all estimators
-    is_pure = True
 
     def __init__(self, setting: AuctionSetting):
         self.setting = setting
@@ -121,9 +117,6 @@ class SecondPriceAuction(Mechanism):
     report zero on this mechanism.
     """
 
-    separable = True
-    name = "second_price"
-
     def _run_batch(self, batch):
         B, n, m = batch.shape
         # argmax returns the first maximum, i.e. the lowest bidder index
@@ -142,9 +135,6 @@ class PerItemFirstPriceAuction(Mechanism):
     bidder index) and pays its own bid. Not incentive compatible; because the
     items never interact, item-wise regret equals the joint optimum.
     """
-
-    separable = True
-    name = "first_price"
 
     def _run_batch(self, batch):
         B, n, m = batch.shape
@@ -309,8 +299,6 @@ class NeuralMechanism(Mechanism):
     """Fixed-weight feedforward softmax mechanism with analytic gradients."""
 
     has_analytic_gradient = True
-    name = "neural"
-
     def __init__(self, spec: NeuralMechanismSpec):
         validate_neural_spec(spec)
         super().__init__(spec.setting)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -23,9 +23,11 @@ from .estimators import (
     METHOD_GUIDED,
     METHOD_PGA,
     GridSpec,
+    ItemScan,
     RegretEstimate,
+    _clamp_gain,
+    _prepare,
     _scan_all_items,
-    _truthful_utility,
 )
 from .mechanisms import (
     Mechanism,
@@ -95,42 +97,14 @@ PORTFOLIO_PRESETS = {
     "regretformer": PortfolioConfig(k=80, sigma_opt=0.6, sigma_truth=0.6),
 }
 
-LABEL_COMBINATORIAL = "combinatorial"
-LABEL_PERTURBED_COMB = "perturbed_comb"
-LABEL_PERTURBED_TRUTH = "perturbed_truth"
-LABEL_GLOBAL_RANDOM = "global_random"
-
-
-def single_item_label(item: int) -> str:
-    return f"single_item_{item}"
-
-
-@dataclass
-class Portfolio:
-    """Labelled initialization candidates, all clamped to [0, 1]^m."""
-
-    candidates: List[Tuple[str, np.ndarray]]
-
-    def rows(self) -> np.ndarray:
-        return np.stack([row for _, row in self.candidates])
-
-    def __len__(self) -> int:
-        return len(self.candidates)
-
-
-def _lex_smallest(rows: np.ndarray) -> int:
-    """Index of the lexicographically smallest row."""
-    # lexsort keys run last-to-first, so feed coordinates in reverse
-    order = np.lexsort(rows.T[::-1])
-    return int(order[0])
-
 
 def _best_candidate(best_utils: np.ndarray, best_rows: np.ndarray) -> int:
     """Deterministic cross-candidate reduction: max utility, then lex-smallest row."""
     top = np.flatnonzero(best_utils == best_utils.max())
     if top.size == 1:
         return int(top[0])
-    return int(top[_lex_smallest(best_rows[top])])
+    # lexsort keys run last-to-first, so feed coordinates in reverse
+    return int(top[np.lexsort(best_rows[top].T[::-1])[0]])
 
 
 def _ascend(mech: Mechanism, profile: np.ndarray, bidder: int, starts: np.ndarray,
@@ -145,31 +119,25 @@ def _ascend(mech: Mechanism, profile: np.ndarray, bidder: int, starts: np.ndarra
     analytic = mech.has_analytic_gradient
     v = profile[bidder]
 
-    def eval_both(rows):
-        # one combined pass: gradient comes with the utility at no extra cost
-        return mech.utility_and_gradient_many(
-            rows_to_profiles(profile, bidder, rows), bidder, v, validate=False)
+    def evaluate(rows):
+        """(utilities, analytic gradients or None) of the rows."""
+        if analytic:
+            # one combined pass: gradient comes with the utility at no extra cost
+            return mech.utility_and_gradient_many(
+                rows_to_profiles(profile, bidder, rows), bidder, v, validate=False)
+        return evaluate_misreports(mech, profile, bidder, rows), None
 
-    if analytic:
-        u, g = eval_both(x)
-    else:
-        u = evaluate_misreports(mech, profile, bidder, x)
-        g = None
+    u, g = evaluate(x)
     best_u = u.copy()
     best_x = x.copy()
     frozen = np.zeros(x.shape[0], dtype=bool)
     for _ in range(steps):
         if not analytic:
             g = fd_gradient_rows(mech, profile, bidder, x)
-        bad = ~np.isfinite(g).all(axis=1)
-        if bad.any():
-            frozen |= bad
+        frozen |= ~np.isfinite(g).all(axis=1)
         g[frozen] = 0.0
         x = np.clip(x + gamma * g, 0.0, 1.0)
-        if analytic:
-            u, g = eval_both(x)
-        else:
-            u = evaluate_misreports(mech, profile, bidder, x)
+        u, g = evaluate(x)
         improved = u > best_u
         if improved.any():
             best_u = np.where(improved, u, best_u)
@@ -202,10 +170,9 @@ def random_restart_pga(mech: Mechanism, profile, bidder: int, cfg: PgaConfig,
     never as failures.
     """
     t0 = time.perf_counter()
-    profile = as_profile(profile, mech.setting)
     m = mech.setting.m
     evals0 = mech.evaluations
-    base = _truthful_utility(mech, profile, bidder)
+    profile, base = _prepare(mech, profile, bidder)
     starts = np.stack([
         rng.spawn_generator(seed, rng.STREAM_CANDIDATE, l).random(m)
         for l in range(cfg.big_l)
@@ -213,24 +180,23 @@ def random_restart_pga(mech: Mechanism, profile, bidder: int, cfg: PgaConfig,
     best_rows, best_utils, flagged = _ascend(mech, profile, bidder, starts,
                                              cfg.gamma, cfg.big_r)
     win = _best_candidate(best_utils, best_rows)
-    gain = float(best_utils[win]) - base
-    if gain <= 0.0:
-        value, row = 0.0, profile[bidder].copy()
-    else:
-        value, row = gain, best_rows[win].copy()
+    value, row = _clamp_gain(float(best_utils[win]) - base, best_rows[win].copy(),
+                             profile[bidder])
     return RegretEstimate(METHOD_PGA, bidder, value, row,
                           mech.evaluations - evals0, time.perf_counter() - t0,
                           gradient_steps=cfg.big_l * cfg.big_r, flagged=flagged)
 
 
 def build_portfolio(profile, bidder: int, item_argmaxes, cfg: PortfolioConfig,
-                    seed: int) -> Portfolio:
-    """Assemble the 1 + m + 3k initialization candidates.
+                    seed: int) -> np.ndarray:
+    """Assemble the 1 + m + 3k initialization candidates as rows in [0, 1]^m.
 
-    The combinatorial candidate is the per-item grid optima verbatim; the
-    single-item candidate for item j keeps every other coordinate truthful.
-    Gaussian perturbations are clamped to [0, 1] after drawing (no rejection
-    loops); with k = 0 no random stream is consumed.
+    Row order: the combinatorial candidate (the per-item grid optima
+    verbatim); one single-item candidate per item j, every other coordinate
+    truthful; then k each of perturbed-combinatorial, perturbed-truthful and
+    uniform-random candidates. Gaussian perturbations are clamped to [0, 1]
+    after drawing (no rejection loops); with k = 0 no random stream is
+    consumed.
     """
     profile = np.asarray(profile, dtype=np.float64)
     truthful = profile[bidder]
@@ -241,57 +207,52 @@ def build_portfolio(profile, bidder: int, item_argmaxes, cfg: PortfolioConfig,
     if comb.size and (comb.min() < 0.0 or comb.max() > 1.0):
         raise InvalidInputError("item_argmaxes must lie in [0, 1]")
 
-    candidates: List[Tuple[str, np.ndarray]] = [(LABEL_COMBINATORIAL, comb.copy())]
-    for j in range(m):
-        row = truthful.copy()
-        row[j] = comb[j]
-        candidates.append((single_item_label(j), row))
+    single = np.tile(truthful, (m, 1))
+    single[np.arange(m), np.arange(m)] = comb
+    rows = [comb.copy(), *single]
     for i in range(cfg.k):
         eps = rng.spawn_generator(seed, rng.STREAM_PERTURB_OPT, i).normal(0.0, cfg.sigma_opt, m)
-        candidates.append((LABEL_PERTURBED_COMB, np.clip(comb + eps, 0.0, 1.0)))
+        rows.append(np.clip(comb + eps, 0.0, 1.0))
     for i in range(cfg.k):
         eps = rng.spawn_generator(seed, rng.STREAM_PERTURB_TRUTH, i).normal(0.0, cfg.sigma_truth, m)
-        candidates.append((LABEL_PERTURBED_TRUTH, np.clip(truthful + eps, 0.0, 1.0)))
+        rows.append(np.clip(truthful + eps, 0.0, 1.0))
     for i in range(cfg.k):
-        row = rng.spawn_generator(seed, rng.STREAM_GLOBAL_RANDOM, i).random(m)
-        candidates.append((LABEL_GLOBAL_RANDOM, row))
-    assert len(candidates) == cfg.portfolio_size(m)
-    return Portfolio(candidates)
+        rows.append(rng.spawn_generator(seed, rng.STREAM_GLOBAL_RANDOM, i).random(m))
+    return np.stack(rows)
 
 
 def guided_refinement(mech: Mechanism, profile, bidder: int, grid: GridSpec,
-                      cfg: PortfolioConfig, seed: int) -> RegretEstimate:
+                      cfg: PortfolioConfig, seed: int,
+                      scan: Optional[ItemScan] = None) -> RegretEstimate:
     """Item-wise guided gradient refinement.
 
-    Phase 1 scans each item on the grid, yielding the per-item optima and the
-    grid lower bound; phase 2 ascends from the portfolio built on those
-    optima. The result is the best gain over the grid scan and every ascent
-    iterate, so it can never fall below the grid lower bound. Evaluation
-    counts include the grid phase.
+    Phase 1 is the item scan on the grid (``scan`` when the caller already
+    holds it), yielding the per-item optima and the grid lower bound; phase 2
+    ascends from the portfolio built on those optima. The result is the best
+    gain over the grid scan and every ascent iterate, so it can never fall
+    below the grid lower bound. Evaluation counts include the grid phase.
     """
     t0 = time.perf_counter()
-    profile = as_profile(profile, mech.setting)
+    if scan is None:
+        scan = _scan_all_items(mech, profile, bidder, grid)
+    profile = np.asarray(profile, dtype=np.float64)
     evals0 = mech.evaluations
-    base = _truthful_utility(mech, profile, bidder)
-    gains, coords = _scan_all_items(mech, profile, bidder, grid, base)
-    grid_best_item = int(np.argmax(gains))
-    grid_lower = float(gains[grid_best_item])
+    grid_best_item = int(np.argmax(scan.gains))
+    grid_lower = float(scan.gains[grid_best_item])
 
-    portfolio = build_portfolio(profile, bidder, coords, cfg, seed)
+    starts = build_portfolio(profile, bidder, scan.coords, cfg, seed)
     refine = cfg.refine
-    best_rows, best_utils, flagged = _ascend(mech, profile, bidder, portfolio.rows(),
+    best_rows, best_utils, flagged = _ascend(mech, profile, bidder, starts,
                                              refine.gamma, refine.big_r)
     win = _best_candidate(best_utils, best_rows)
-    pga_gain = float(best_utils[win]) - base
+    pga_gain = float(best_utils[win]) - scan.base
 
     if pga_gain >= grid_lower:
         value, row = pga_gain, best_rows[win].copy()
     else:
-        value = grid_lower
-        row = profile[bidder].copy()
-        row[grid_best_item] = coords[grid_best_item]
-    if value <= 0.0:
-        value, row = 0.0, profile[bidder].copy()
+        value, row = grid_lower, scan.row(grid_best_item)
+    value, row = _clamp_gain(value, row, scan.truthful)
     return RegretEstimate(METHOD_GUIDED, bidder, value, row,
-                          mech.evaluations - evals0, time.perf_counter() - t0,
-                          gradient_steps=len(portfolio) * refine.big_r, flagged=flagged)
+                          scan.evaluations + mech.evaluations - evals0,
+                          time.perf_counter() - t0,
+                          gradient_steps=len(starts) * refine.big_r, flagged=flagged)

@@ -36,8 +36,8 @@ class ValuationDistribution:
     def __post_init__(self):
         if self.kind not in DISTRIBUTION_KINDS:
             raise InvalidConfigError(f"unknown distribution kind {self.kind!r}")
-        if not self.std > 0:
-            raise InvalidConfigError(f"std must be > 0, got {self.std}")
+        if not (np.isfinite(self.std) and self.std > 0):
+            raise InvalidConfigError(f"std must be finite and > 0, got {self.std}")
         if self.kind == KIND_CONTEXTUAL:
             for name, ctx in (("x_contexts", self.x_contexts), ("y_contexts", self.y_contexts)):
                 if ctx is None:

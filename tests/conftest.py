@@ -18,6 +18,14 @@ class ConstantMechanism(ra.Mechanism):
                 np.broadcast_to(self._pay, (B,) + self._pay.shape).copy())
 
 
+class NanPaymentAuction(ra.PerItemFirstPriceAuction):
+    """First-price allocation with NaN payments: every utility is NaN."""
+
+    def _run_batch(self, batch):
+        alloc, pay = super()._run_batch(batch)
+        return alloc, np.full_like(pay, np.nan)
+
+
 @pytest.fixture
 def setting_2x2():
     return ra.AuctionSetting(2, 2)

@@ -8,6 +8,8 @@ from click.testing import CliRunner
 import regret_audit as ra
 from regret_audit.cli import cli
 
+from conftest import NanPaymentAuction
+
 
 @pytest.fixture
 def runner():
@@ -78,6 +80,29 @@ class TestEval:
         del args[args.index("--bidders"):args.index("--bidders") + 2]
         result = runner.invoke(cli, args)
         assert result.exit_code == 2
+
+    def test_infinite_std_exits_2(self, runner, tmp_path):
+        out = tmp_path / "report.json"
+        result = runner.invoke(cli, eval_args(out, dist="ctxnormal", std="inf"))
+        assert result.exit_code == 2
+        assert "std" in result.output
+
+    def test_nonfinite_truthful_utility_exits_2(self, runner, tmp_path, monkeypatch):
+        monkeypatch.delenv("REGRET_AUDIT_THREADS", raising=False)
+        monkeypatch.setitem(ra.mechanisms.BUILTIN_MECHANISMS, "nan_payment", NanPaymentAuction)
+        out = tmp_path / "report.json"
+        for methods in ("exhaustive", "lower_bound,item_wise", "pga", "guided"):
+            result = runner.invoke(cli, eval_args(out, mechanism="nan_payment", methods=methods))
+            assert result.exit_code == 2, result.output
+            assert "non-finite truthful utility" in result.output
+        assert not out.exists()
+
+    def test_item_method(self, runner, tmp_path):
+        out = tmp_path / "report.json"
+        result = runner.invoke(cli, eval_args(out, methods="item"))
+        assert result.exit_code == 0, result.output
+        report = ra.read_report(out)
+        assert [r.estimate.method for r in report.records] == ["item"] * (3 * 2 * 2)
 
     def test_budget_exceeded_exits_3(self, runner, tmp_path):
         out = tmp_path / "report.json"

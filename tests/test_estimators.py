@@ -27,6 +27,13 @@ def brute_force_regret(mech, profile, bidder, points):
     return best
 
 
+class TestRegretEstimate:
+    @pytest.mark.parametrize("value", [-1e-9, float("nan")])
+    def test_rejects_negative_and_nan(self, value):
+        with pytest.raises(ra.InvalidInputError):
+            ra.RegretEstimate("item_wise", 0, value, None, 1, 0.0)
+
+
 class TestGridSpec:
     def test_inclusive_points(self):
         grid = ra.GridSpec(10)
@@ -140,8 +147,9 @@ class TestEvalAccounting:
         assert iw.mech_evals == m * (q + 2) + 1
         lb = ra.lower_bound_regret(mech, profile, 0, grid)
         assert lb.mech_evals == m * (q + 2) + 1
+        # one item's estimate is read off the full item scan, and counts it
         it = ra.item_regret(mech, profile, 0, 0, grid)
-        assert it.mech_evals == (q + 2) + 1
+        assert it.mech_evals == m * (q + 2) + 1
 
     def test_counter_delta_matches_reported(self, setting_2x2, neural_2x2):
         profile = uniform_profile(setting_2x2, 0, 7)
@@ -182,7 +190,6 @@ class TestBoundChain:
         grid = ra.GridSpec(20)
         setting = ra.AuctionSetting(2, 3)
         mech = ra.PerItemFirstPriceAuction(setting)
-        assert mech.separable
         for sample in range(10):
             profile = uniform_profile(setting, sample, 23)
             for bidder in range(2):

@@ -1,12 +1,16 @@
 """Audit orchestration, reports, sweeps, worker determinism."""
 
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import regret_audit as ra
-from regret_audit.harness import resolve_workers
+from regret_audit.harness import _Cell, _cell_estimates, resolve_workers
+
+from conftest import NanPaymentAuction, uniform_profile
 
 
 def small_cfg(**overrides):
@@ -147,6 +151,84 @@ class TestRunAudit:
         assert fine.records[0].estimate.mech_evals > base.records[0].estimate.mech_evals
 
 
+def one_cell(mech, profile, bidder, grid=ra.GridSpec(10), guided_grid=None):
+    """A (sample, bidder) cell with cheap settings for every method."""
+    return _Cell(mech, profile, bidder, grid, guided_grid or grid, ra.DEFAULT_EVAL_BUDGET,
+                 ra.PgaConfig(0.1, 3, 10), ra.PortfolioConfig(refine=ra.PgaConfig(0.1, 1, 10)),
+                 seed=5)
+
+
+class TestRegistry:
+    def test_views_follow_registry_order(self):
+        assert ra.RUN_METHODS == ("exhaustive", "item", "lower_bound", "item_wise",
+                                  "pga", "guided")
+        assert ra.GRID_METHODS == ("exhaustive", "item", "lower_bound", "item_wise")
+
+    @pytest.mark.parametrize("method", ra.RUN_METHODS)
+    @pytest.mark.parametrize("bidder", [-1, 2])
+    def test_bidder_out_of_range_rejected(self, method, bidder):
+        setting = ra.AuctionSetting(2, 2)
+        mech = ra.PerItemFirstPriceAuction(setting)
+        profile = uniform_profile(setting, 0, 7)
+        with pytest.raises(ra.InvalidInputError, match="out of range"):
+            _cell_estimates(one_cell(mech, profile, bidder), (method,))
+
+    @pytest.mark.parametrize("method", ra.RUN_METHODS)
+    def test_nonfinite_truthful_utility_rejected(self, method):
+        # never a 0.0 certificate, a NaN regret, or a raw IndexError
+        setting = ra.AuctionSetting(2, 2)
+        mech = NanPaymentAuction(setting)
+        profile = uniform_profile(setting, 0, 7)
+        with pytest.raises(ra.InvalidInputError, match="non-finite truthful utility"):
+            _cell_estimates(one_cell(mech, profile, 0), (method,))
+
+    def test_sharing_is_invisible(self, setting_2x2, neural_2x2):
+        profile = uniform_profile(setting_2x2, 0, 7)
+        cell = one_cell(neural_2x2, profile, 1)
+        before = neural_2x2.evaluations
+        shared = _cell_estimates(cell, ("lower_bound", "item_wise", "guided"))
+        executed = neural_2x2.evaluations - before
+        alone = [
+            ra.lower_bound_regret(neural_2x2, profile, 1, cell.grid),
+            ra.item_wise_regret(neural_2x2, profile, 1, cell.grid),
+            ra.guided_refinement(neural_2x2, profile, 1, cell.grid, cell.portfolio, cell.seed),
+        ]
+        for a, b in zip(shared, alone):
+            assert (a.method, a.value, a.mech_evals, a.gradient_steps) == \
+                (b.method, b.value, b.mech_evals, b.gradient_steps)
+            assert (a.best_misreport is None and b.best_misreport is None) or \
+                np.array_equal(a.best_misreport, b.best_misreport)
+        scan_evals = alone[0].mech_evals
+        assert scan_evals == 2 * (10 + 2) + 1
+        assert executed == sum(e.mech_evals for e in shared) - 2 * scan_evals
+
+    def test_distinct_guided_grid_scans_again(self, setting_2x2, neural_2x2):
+        profile = uniform_profile(setting_2x2, 0, 7)
+        cell = one_cell(neural_2x2, profile, 0, guided_grid=ra.GridSpec(20))
+        before = neural_2x2.evaluations
+        shared = _cell_estimates(cell, ("lower_bound", "item_wise", "guided"))
+        # lower_bound and item_wise share the q=10 scan; guided scans q=20
+        executed = neural_2x2.evaluations - before
+        assert executed == sum(e.mech_evals for e in shared) - shared[0].mech_evals
+
+    def test_item_runs_one_record_per_item(self):
+        cfg = small_cfg(methods=("lower_bound", "item"), samples=2)
+        report = ra.run_audit(cfg)
+        keys = [(r.sample, r.estimate.bidder, r.estimate.method) for r in report.records]
+        assert keys == [(s, b, meth) for s in range(2) for b in range(2)
+                        for meth in ("item", "item", "lower_bound")]
+        for first in range(0, len(report.records), 3):
+            items = [r.estimate for r in report.records[first:first + 2]]
+            lower = report.records[first + 2].estimate
+            truthful = ra.sample_valuations(cfg.distribution, cfg.setting,
+                                            report.records[first].sample, cfg.seed)[lower.bidder]
+            for j, est in enumerate(items):
+                # item j moves only coordinate j; every record counts the whole scan
+                assert np.array_equal(np.delete(est.best_misreport, j), np.delete(truthful, j))
+                assert est.mech_evals == lower.mech_evals
+            assert max(e.value for e in items) == lower.value
+
+
 class TestDeterminism:
     def test_repeat_runs_identical_reports(self, tmp_path):
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -155,6 +237,15 @@ class TestDeterminism:
         a = strip_wall(json.loads(out1.read_text()))
         b = strip_wall(json.loads(out2.read_text()))
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+    def test_report_matches_golden_bytes(self, tmp_path):
+        # every byte of a serial report except wall clock is frozen
+        data_dir = Path(__file__).parent / "data"
+        spec = importlib.util.spec_from_file_location("gen_goldens", data_dir / "gen_goldens.py")
+        gen_goldens = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(gen_goldens)
+        golden = gen_goldens.REPORT_OUT.read_text(encoding="utf-8")
+        assert gen_goldens.golden_report_text(tmp_path) == golden
 
     def test_parallel_matches_serial_bitwise(self):
         serial = ra.run_audit(small_cfg(samples=8), workers=1)

@@ -171,38 +171,35 @@ class TestPortfolio:
     def test_k_zero_portfolio_shape(self):
         profile = np.array([[0.4, 0.7], [0.2, 0.9]])
         port = ra.build_portfolio(profile, 0, [0.1, 0.7], ra.PortfolioConfig(k=0), seed=1)
-        assert len(port) == 3
-        labels = [label for label, _ in port.candidates]
-        assert labels == ["combinatorial", "single_item_0", "single_item_1"]
+        assert port.shape == (3, 2)
 
     def test_candidate_construction_by_substitution(self):
+        # rows: combinatorial, then the single-item candidate of each item
         profile = np.array([[0.4, 0.7], [0.2, 0.9]])
         port = ra.build_portfolio(profile, 0, [0.1, 0.7], ra.PortfolioConfig(k=0), seed=1)
-        rows = {label: row.tolist() for label, row in port.candidates}
-        assert rows["combinatorial"] == [0.1, 0.7]
-        assert rows["single_item_0"] == [0.1, 0.7]
-        assert rows["single_item_1"] == [0.4, 0.7]
+        assert port.tolist() == [[0.1, 0.7], [0.1, 0.7], [0.4, 0.7]]
 
     def test_full_portfolio_counts_and_clamping(self):
         profile = np.array([[0.4, 0.7], [0.2, 0.9]])
         cfg = ra.PortfolioConfig(k=80, sigma_opt=0.6, sigma_truth=0.6)
         port = ra.build_portfolio(profile, 0, [0.1, 0.7], cfg, seed=5)
-        assert len(port) == 1 + 2 + 240
-        labels = [label for label, _ in port.candidates]
-        assert labels.count("perturbed_comb") == 80
-        assert labels.count("perturbed_truth") == 80
-        assert labels.count("global_random") == 80
-        rows = port.rows()
-        assert rows.min() >= 0.0 and rows.max() <= 1.0
+        assert port.shape == (1 + 2 + 240, 2) == (cfg.portfolio_size(2), 2)
+        assert port[:3].tolist() == [[0.1, 0.7], [0.1, 0.7], [0.4, 0.7]]
+        # each group of k comes from its own stream: perturbed-combinatorial,
+        # perturbed-truthful, then uniform-random
+        groups = port[3:].reshape(3, 80, 2)
+        assert not np.array_equal(groups[0], groups[1])
+        assert not np.array_equal(groups[1], groups[2])
+        assert port.min() >= 0.0 and port.max() <= 1.0
         # sigma 0.6 pushes many draws outside the box before clamping
-        assert (rows == 0.0).any() or (rows == 1.0).any()
+        assert (port == 0.0).any() or (port == 1.0).any()
 
     def test_determinism(self):
         profile = np.array([[0.4, 0.7], [0.2, 0.9]])
         cfg = ra.PortfolioConfig(k=3, sigma_opt=0.2, sigma_truth=0.2)
         a = ra.build_portfolio(profile, 0, [0.1, 0.7], cfg, seed=5)
         b = ra.build_portfolio(profile, 0, [0.1, 0.7], cfg, seed=5)
-        assert np.array_equal(a.rows(), b.rows())
+        assert np.array_equal(a, b)
 
 
 class TestGuidedRefinement:

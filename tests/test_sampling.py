@@ -94,3 +94,10 @@ class TestContextual:
             ra.ValuationDistribution(kind="nope")
         with pytest.raises(ra.InvalidConfigError):
             ra.ValuationDistribution(std=0.0)
+
+    @pytest.mark.parametrize("std", [float("inf"), float("nan"), -0.05])
+    def test_std_must_be_finite_and_positive(self, std):
+        # an infinite std would make the truncation redraw loop never end
+        with pytest.raises(ra.InvalidConfigError):
+            ra.ValuationDistribution(kind="truncated_normal_context", x_contexts=(1,),
+                                     y_contexts=(2,), std=std)
