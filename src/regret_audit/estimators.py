@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import BudgetExceededError, InvalidInputError
-from .mechanisms import Mechanism, as_profile, evaluate_misreports
+from .mechanisms import Mechanism, as_profile, check_bidder, evaluate_misreports
 
 DEFAULT_EVAL_BUDGET = 10**8
 _SCAN_CHUNK = 8192
@@ -92,13 +92,25 @@ def _prepare(mech: Mechanism, profile, bidder: int):
     """Every estimator's preamble: the validated profile and the truthful
     utility (one evaluation) that every gain is measured against."""
     profile = as_profile(profile, mech.setting)
-    if not 0 <= bidder < mech.setting.n:
-        raise InvalidInputError(f"bidder {bidder} out of range for n={mech.setting.n}")
+    check_bidder(mech.setting, bidder)
     base = float(evaluate_misreports(mech, profile, bidder, profile[bidder][None, :])[0])
     if not np.isfinite(base):
         raise InvalidInputError(
             f"mechanism gives bidder {bidder} a non-finite truthful utility ({base})")
     return profile, base
+
+
+def _misreport_gains(mech: Mechanism, profile: np.ndarray, bidder: int, rows: np.ndarray,
+                     base: float) -> np.ndarray:
+    """Gains over ``base`` of the bidder's misreport rows. A non-finite
+    utility raises InvalidInputError: a NaN would otherwise drop out of an
+    argmax scan and leave a false 0.0."""
+    utils = evaluate_misreports(mech, profile, bidder, rows)
+    if not np.isfinite(utils).all():
+        bad = rows[np.flatnonzero(~np.isfinite(utils))[0]]
+        raise InvalidInputError(
+            f"mechanism gives bidder {bidder} a non-finite misreport utility at {bad.tolist()}")
+    return utils - base
 
 
 def _clamp_gain(gain: float, row: np.ndarray, truthful: np.ndarray):
@@ -140,7 +152,7 @@ def _scan_all_items(mech: Mechanism, profile, bidder: int, grid: GridSpec) -> It
     for j in range(m):
         rows = np.broadcast_to(truthful, (pts.size, m)).copy()
         rows[:, j] = pts
-        item_gains = evaluate_misreports(mech, profile, bidder, rows) - base
+        item_gains = _misreport_gains(mech, profile, bidder, rows, base)
         i = int(np.argmax(item_gains))
         if not np.isin(truthful[j], pts):
             evaluate_misreports(mech, profile, bidder, truthful[None, :])
@@ -175,7 +187,7 @@ def exhaustive_regret(mech: Mechanism, profile, bidder: int, grid: GridSpec,
     for start in range(0, total, _SCAN_CHUNK):
         flat = np.arange(start, min(start + _SCAN_CHUNK, total))
         rows = pts[np.stack(np.unravel_index(flat, shape), axis=1)]
-        gains = evaluate_misreports(mech, profile, bidder, rows) - base
+        gains = _misreport_gains(mech, profile, bidder, rows, base)
         i = int(np.argmax(gains))
         if gains[i] > best_gain:
             best_gain = float(gains[i])

@@ -2,10 +2,12 @@
 
 Every method inside one audit sees the same valuation profiles (streams are
 keyed by sample index only), so cross-method orderings hold per sample
-without statistical noise. Samples are independent and may be fanned out to
-a process pool; records are assembled in (sample, bidder, method) order, so
-parallel and serial runs produce identical reports up to wall-clock fields.
-Methods are dispatched through one ordered registry, ``METHODS``.
+without statistical noise. Samples are independent: an audit splits them
+into one contiguous chunk per worker (a serial run is one chunk), and each
+search method climbs every (sample, bidder) of a chunk in lockstep. Records
+are assembled in (sample, bidder, method) order, so parallel and serial runs
+produce identical reports up to wall-clock fields. Methods are dispatched
+through one ordered registry, ``METHODS``.
 """
 
 from __future__ import annotations
@@ -46,7 +48,17 @@ from .mechanisms import (
     load_neural_mechanism,
     read_neural_spec,
 )
-from .optimizer import PgaConfig, PortfolioConfig, guided_refinement, random_restart_pga
+from .optimizer import (
+    PgaConfig,
+    PortfolioConfig,
+    guided_search,
+    pga_search,
+    run_searches,
+    # the standalone searches stay importable here, where perfbench/tracer.py
+    # binds its spans
+    guided_refinement,  # noqa: F401
+    random_restart_pga,  # noqa: F401
+)
 from .report import AuditRecord, AuditReport, compute_method_means, write_report
 from .sampling import ValuationDistribution, sample_valuations
 
@@ -68,10 +80,25 @@ class _Cell:
     seed: Optional[int] = None  # search seed; None for grid-only runs
 
 
+#: one method over a chunk of cells: (cells, each cell's item scan or None)
+#: -> each cell's estimates in record order
+_ChunkRunner = Callable[[Sequence[_Cell], Sequence[Optional[ItemScan]]], List[List[RegretEstimate]]]
+
+
+def _per_cell(run: Callable[[_Cell, Optional[ItemScan]], List[RegretEstimate]]) -> _ChunkRunner:
+    """A chunk runner that runs ``run`` on each cell on its own."""
+    return lambda cells, scans: [run(cell, scan) for cell, scan in zip(cells, scans)]
+
+
+def _lockstep(search: Callable[[_Cell, Optional[ItemScan]], object]) -> _ChunkRunner:
+    """A chunk runner that climbs every cell's ``search`` in one lockstep."""
+    return lambda cells, scans: [[est] for est in run_searches(
+        cells[0].mech, (search(cell, scan) for cell, scan in zip(cells, scans)))]
+
+
 @dataclass(frozen=True)
 class _Method:
-    #: (cell, item scan or None) -> the method's estimates in record order
-    estimate: Callable[[_Cell, Optional[ItemScan]], List[RegretEstimate]]
+    run: _ChunkRunner
     #: the cell grid whose item scan the method derives from
     scan_grid: Optional[str] = None
     #: reads the search seed, so audit_all_bidders cannot run it
@@ -81,19 +108,19 @@ class _Method:
 #: every method in canonical record order. The estimator functions are looked
 #: up by name at call time, so wrappers bound on this module see every call.
 METHODS = {
-    METHOD_EXHAUSTIVE: _Method(lambda c, _: [exhaustive_regret(
-        c.mech, c.profile, c.bidder, c.grid, max_evals=c.max_evals)]),
-    METHOD_ITEM: _Method(lambda c, scan: [
+    METHOD_EXHAUSTIVE: _Method(_per_cell(lambda c, _: [exhaustive_regret(
+        c.mech, c.profile, c.bidder, c.grid, max_evals=c.max_evals)])),
+    METHOD_ITEM: _Method(_per_cell(lambda c, scan: [
         item_regret(c.mech, c.profile, c.bidder, j, c.grid, scan=scan)
-        for j in range(c.mech.setting.m)], scan_grid="grid"),
-    METHOD_LOWER_BOUND: _Method(lambda c, scan: [lower_bound_regret(
-        c.mech, c.profile, c.bidder, c.grid, scan=scan)], scan_grid="grid"),
-    METHOD_ITEM_WISE: _Method(lambda c, scan: [item_wise_regret(
-        c.mech, c.profile, c.bidder, c.grid, scan=scan)], scan_grid="grid"),
-    METHOD_PGA: _Method(lambda c, _: [random_restart_pga(
-        c.mech, c.profile, c.bidder, c.pga, c.seed)], searches=True),
-    METHOD_GUIDED: _Method(lambda c, scan: [guided_refinement(
-        c.mech, c.profile, c.bidder, c.guided_grid, c.portfolio, c.seed, scan=scan)],
+        for j in range(c.mech.setting.m)]), scan_grid="grid"),
+    METHOD_LOWER_BOUND: _Method(_per_cell(lambda c, scan: [lower_bound_regret(
+        c.mech, c.profile, c.bidder, c.grid, scan=scan)]), scan_grid="grid"),
+    METHOD_ITEM_WISE: _Method(_per_cell(lambda c, scan: [item_wise_regret(
+        c.mech, c.profile, c.bidder, c.grid, scan=scan)]), scan_grid="grid"),
+    METHOD_PGA: _Method(_lockstep(lambda c, _: pga_search(
+        c.mech, c.profile, c.bidder, c.pga, c.seed)), searches=True),
+    METHOD_GUIDED: _Method(_lockstep(lambda c, scan: guided_search(
+        c.mech, c.profile, c.bidder, c.guided_grid, c.portfolio, c.seed, scan=scan)),
         scan_grid="guided_grid", searches=True),
 }
 
@@ -191,27 +218,36 @@ def config_echo(cfg: AuditRunConfig) -> dict:
     return echo
 
 
-def _cell_estimates(cell: _Cell, methods: tuple) -> List[RegretEstimate]:
-    """Run canonically ordered ``methods`` on one (sample, bidder).
+def _chunk_estimates(cells: Sequence[_Cell], methods: tuple) -> List[List[RegretEstimate]]:
+    """Run canonically ordered ``methods`` on every cell of a chunk; returns
+    each cell's estimates in record order.
 
-    At most one item scan is computed per distinct grid, and every method
-    derived from it shares it. Each of their records still counts the
-    scan's full evaluations; its seconds go to the first record using it.
+    Each method runs over the whole chunk, so a search method climbs the
+    candidates of every cell together. At most one item scan is computed per
+    cell and distinct grid, and every method derived from it shares it. Each
+    of their records still counts the scan's full evaluations; its seconds
+    go to the first record using it.
     """
-    scans = {}
-    out: List[RegretEstimate] = []
+    scans = [{} for _ in cells]  # per cell: grid -> its item scan
+    per_method = []
     for name in methods:
         method = METHODS[name]
-        t0 = time.perf_counter()
-        grid = getattr(cell, method.scan_grid) if method.scan_grid else None
-        if grid is not None and grid not in scans:
-            # looked up on the module at call time, like the estimators above
-            scans[grid] = estimators._scan_all_items(cell.mech, cell.profile, cell.bidder, grid)
-        scan_seconds = time.perf_counter() - t0
-        estimates = method.estimate(cell, scans.get(grid))
-        estimates[0].wall_seconds += scan_seconds
-        out.extend(estimates)
-    return out
+        cell_scans, scan_seconds = [], []
+        for cell, cell_cache in zip(cells, scans):
+            grid = getattr(cell, method.scan_grid) if method.scan_grid else None
+            t0 = time.perf_counter()
+            if grid is not None and grid not in cell_cache:
+                # looked up on the module at call time, like the estimators above
+                cell_cache[grid] = estimators._scan_all_items(
+                    cell.mech, cell.profile, cell.bidder, grid)
+            cell_scans.append(cell_cache.get(grid))
+            scan_seconds.append(time.perf_counter() - t0)
+        estimates = method.run(cells, cell_scans)
+        for cell_estimates, seconds in zip(estimates, scan_seconds):
+            cell_estimates[0].wall_seconds += seconds
+        per_method.append(estimates)
+    return [[est for estimates in cell_methods for est in estimates]
+            for cell_methods in zip(*per_method)]
 
 
 def audit_all_bidders(mech: Mechanism, profile, grid: GridSpec,
@@ -223,21 +259,25 @@ def audit_all_bidders(mech: Mechanism, profile, grid: GridSpec,
     method set yields an empty list.
     """
     methods = _canonical_methods(methods, GRID_METHODS, InvalidInputError)
-    return [est for bidder in range(mech.setting.n)
-            for est in _cell_estimates(_Cell(mech, profile, bidder, grid, grid, max_evals),
-                                       methods)]
+    cells = [_Cell(mech, profile, bidder, grid, grid, max_evals)
+             for bidder in range(mech.setting.n)]
+    return [est for estimates in _chunk_estimates(cells, methods) for est in estimates]
 
 
-def _sample_records(mech: Mechanism, cfg: AuditRunConfig, sample: int) -> List[AuditRecord]:
-    profile = sample_valuations(cfg.distribution, cfg.setting, sample, cfg.seed)
-    records = []
-    for bidder in range(cfg.setting.n):
-        cell = _Cell(mech, profile, bidder, cfg.grid, cfg.guided_grid or cfg.grid,
-                     cfg.max_grid_evals, cfg.pga, cfg.portfolio,
-                     rng.derive_seed(cfg.seed, rng.STREAM_SEARCH, sample, bidder))
-        records.extend(AuditRecord(sample=sample, estimate=est)
-                       for est in _cell_estimates(cell, cfg.methods))
-    return records
+def _chunk_records(mech: Mechanism, cfg: AuditRunConfig,
+                   samples: Sequence[int]) -> List[AuditRecord]:
+    """The records of a chunk of samples, in (sample, bidder, method) order."""
+    cells, cell_samples = [], []
+    for sample in samples:
+        profile = sample_valuations(cfg.distribution, cfg.setting, sample, cfg.seed)
+        for bidder in range(cfg.setting.n):
+            cells.append(_Cell(mech, profile, bidder, cfg.grid, cfg.guided_grid or cfg.grid,
+                               cfg.max_grid_evals, cfg.pga, cfg.portfolio,
+                               rng.derive_seed(cfg.seed, rng.STREAM_SEARCH, sample, bidder)))
+            cell_samples.append(sample)
+    return [AuditRecord(sample=sample, estimate=est)
+            for sample, estimates in zip(cell_samples, _chunk_estimates(cells, cfg.methods))
+            for est in estimates]
 
 
 _WORKER_STATE = {}
@@ -248,8 +288,8 @@ def _init_worker(cfg: AuditRunConfig) -> None:
     _WORKER_STATE["mech"] = resolve_mechanism(cfg.mechanism, cfg.setting)
 
 
-def _run_sample_task(sample: int) -> List[AuditRecord]:
-    return _sample_records(_WORKER_STATE["mech"], _WORKER_STATE["cfg"], sample)
+def _run_chunk_task(samples: Sequence[int]) -> List[AuditRecord]:
+    return _chunk_records(_WORKER_STATE["mech"], _WORKER_STATE["cfg"], samples)
 
 
 def resolve_workers(workers: Optional[int] = None) -> int:
@@ -282,14 +322,17 @@ def run_audit(cfg: AuditRunConfig, workers: Optional[int] = None) -> AuditReport
     workers = resolve_workers(workers)
     mech = resolve_mechanism(cfg.mechanism, cfg.setting)
 
-    if workers <= 1 or cfg.samples == 1:
-        per_sample = [_sample_records(mech, cfg, s) for s in range(cfg.samples)]
+    # one contiguous chunk of samples per worker; a serial run is one chunk
+    chunks = [chunk.tolist() for chunk in np.array_split(np.arange(cfg.samples), workers)
+              if chunk.size]
+    if len(chunks) == 1:
+        per_chunk = [_chunk_records(mech, cfg, chunks[0])]
     else:
-        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+        with ProcessPoolExecutor(max_workers=len(chunks), initializer=_init_worker,
                                  initargs=(cfg,)) as pool:
-            per_sample = list(pool.map(_run_sample_task, range(cfg.samples)))
+            per_chunk = list(pool.map(_run_chunk_task, chunks))
 
-    records = [rec for sample_recs in per_sample for rec in sample_recs]
+    records = [rec for chunk_recs in per_chunk for rec in chunk_recs]
     means = compute_method_means(records, cfg.samples, cfg.methods)
     report = AuditReport(
         config=config_echo(cfg),

@@ -3,17 +3,18 @@ item-wise guided refinement built on a structured initialization portfolio.
 
 Ascent projects onto the bid box by coordinate clamping and tracks the best
 utility over every visited iterate (including the start), so a candidate can
-never end below where it began. Candidates are independent; the final
-reduction is a deterministic max with a lexicographic tie-break on the
-misreport vector, so any partitioning of candidates across workers agrees
-with the serial result bitwise.
+never end below where it began. Candidates are independent, so the
+candidates of many (sample, bidder) searches climb together, one mechanism
+call per step; each search then finishes alone, with a deterministic max and
+a lexicographic tie-break on the misreport vector. Any grouping of searches,
+in one batch or across workers, agrees with the serial result bitwise.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from .estimators import (
     GridSpec,
     ItemScan,
     RegretEstimate,
+    _SCAN_CHUNK,
     _clamp_gain,
     _prepare,
     _scan_all_items,
@@ -32,6 +34,7 @@ from .estimators import (
 from .mechanisms import (
     Mechanism,
     as_profile,
+    check_bidder,
     evaluate_misreports,
     fd_gradient_rows,
     rows_to_profiles,
@@ -107,25 +110,28 @@ def _best_candidate(best_utils: np.ndarray, best_rows: np.ndarray) -> int:
     return int(top[np.lexsort(best_rows[top].T[::-1])[0]])
 
 
-def _ascend(mech: Mechanism, profile: np.ndarray, bidder: int, starts: np.ndarray,
+def _ascend(mech: Mechanism, profiles: np.ndarray, bidders: np.ndarray, starts: np.ndarray,
             gamma: float, steps: int):
-    """Run ``steps`` clamped ascent steps from each start row.
+    """Run ``steps`` clamped ascent steps from each start row, row i for
+    bidder ``bidders[i]`` of profile ``profiles[i]``.
 
-    Tracks the best utility over all visited iterates per candidate. A
-    non-finite gradient freezes its candidate in place and flags it; the best
-    iterate seen so far is kept. Returns (best_rows, best_utils, any_flagged).
+    Rows never interact, and the mechanisms compute each batch row on its
+    own, so any partition or permutation of the rows gives every row the same
+    bits. Tracks the best utility over all visited iterates per row. A
+    non-finite gradient freezes its row in place; the best iterate seen so
+    far is kept. Returns (best_rows, best_utils, frozen), one entry per row.
     """
     x = np.clip(np.asarray(starts, dtype=np.float64), 0.0, 1.0).copy()
     analytic = mech.has_analytic_gradient
-    v = profile[bidder]
+    v = profiles[np.arange(x.shape[0]), bidders]
 
     def evaluate(rows):
         """(utilities, analytic gradients or None) of the rows."""
         if analytic:
             # one combined pass: gradient comes with the utility at no extra cost
             return mech.utility_and_gradient_many(
-                rows_to_profiles(profile, bidder, rows), bidder, v, validate=False)
-        return evaluate_misreports(mech, profile, bidder, rows), None
+                rows_to_profiles(profiles, bidders, rows), bidders, v, validate=False)
+        return evaluate_misreports(mech, profiles, bidders, rows), None
 
     u, g = evaluate(x)
     best_u = u.copy()
@@ -133,7 +139,7 @@ def _ascend(mech: Mechanism, profile: np.ndarray, bidder: int, starts: np.ndarra
     frozen = np.zeros(x.shape[0], dtype=bool)
     for _ in range(steps):
         if not analytic:
-            g = fd_gradient_rows(mech, profile, bidder, x)
+            g = fd_gradient_rows(mech, profiles, bidders, x)
         frozen |= ~np.isfinite(g).all(axis=1)
         g[frozen] = 0.0
         x = np.clip(x + gamma * g, 0.0, 1.0)
@@ -142,7 +148,109 @@ def _ascend(mech: Mechanism, profile: np.ndarray, bidder: int, starts: np.ndarra
         if improved.any():
             best_u = np.where(improved, u, best_u)
             best_x[improved] = x[improved]
-    return best_x, best_u, bool(frozen.any())
+    return best_x, best_u, frozen
+
+
+@dataclass
+class _Search:
+    """One (sample, bidder) search between its two halves: the start rows
+    its ascent climbs from, and what finishing it reads."""
+
+    method: str
+    profile: np.ndarray
+    bidder: int
+    base: float  # truthful utility every gain is measured against
+    starts: np.ndarray
+    gamma: float
+    steps: int
+    evals: int  # evaluations spent before the ascent
+    seconds: float
+    scan: Optional[ItemScan] = None  # guided's grid phase, the result's floor
+
+
+def _finish(search: _Search, best_rows: np.ndarray, best_utils: np.ndarray,
+            frozen: np.ndarray, evals: int, seconds: float) -> RegretEstimate:
+    """Reduce one search's ascended rows to its estimate.
+
+    Candidates with a non-finite best utility are left out and flag the
+    estimate; none finite is an InvalidInputError. Guided refinement never
+    reports less than its grid lower bound.
+    """
+    t0 = time.perf_counter()
+    finite = np.isfinite(best_utils)
+    if not finite.any():
+        raise InvalidInputError(
+            f"mechanism gives bidder {search.bidder} a non-finite utility at every "
+            f"{search.method} candidate")
+    best_rows, best_utils = best_rows[finite], best_utils[finite]
+    win = _best_candidate(best_utils, best_rows)
+    value, row = float(best_utils[win]) - search.base, best_rows[win].copy()
+    scan = search.scan
+    if scan is not None:
+        grid_best_item = int(np.argmax(scan.gains))
+        if value < scan.gains[grid_best_item]:
+            value, row = float(scan.gains[grid_best_item]), scan.row(grid_best_item)
+    value, row = _clamp_gain(value, row, search.profile[search.bidder])
+    return RegretEstimate(search.method, search.bidder, value, row, search.evals + evals,
+                          search.seconds + seconds + time.perf_counter() - t0,
+                          gradient_steps=len(search.starts) * search.steps,
+                          flagged=bool(frozen.any() or not finite.all()))
+
+
+def run_searches(mech: Mechanism, searches: Iterable[_Search]) -> List[RegretEstimate]:
+    """Ascend every start row of every search in lockstep, then finish each;
+    returns the estimates in search order.
+
+    All searches share one step size and step count. ``searches`` is read
+    lazily, in batches of at most ``_SCAN_CHUNK`` rows (or one search, when
+    it alone has more), so memory does not grow with the number of searches.
+    """
+    estimates, batch, rows = [], [], 0
+    for search in searches:
+        if batch and rows + len(search.starts) > _SCAN_CHUNK:
+            estimates += _climb(mech, batch)
+            batch, rows = [], 0
+        batch.append(search)
+        rows += len(search.starts)
+    if batch:
+        estimates += _climb(mech, batch)
+    return estimates
+
+
+def _climb(mech: Mechanism, searches: Sequence[_Search]) -> List[RegretEstimate]:
+    """One lockstep batch of ``run_searches``.
+
+    Rows climb in groups of at most ``_SCAN_CHUNK``, one mechanism call per
+    group and step; every row costs the same per step, so each group's
+    evaluations and seconds are charged to the searches by their share of
+    its rows.
+    """
+    gamma, steps = searches[0].gamma, searches[0].steps
+    assert all((s.gamma, s.steps) == (gamma, steps) for s in searches)
+    sizes = [len(s.starts) for s in searches]
+    owner = np.repeat(np.arange(len(searches)), sizes)
+    starts = np.concatenate([s.starts for s in searches])
+    profiles = np.stack([s.profile for s in searches])
+    bidders = np.array([s.bidder for s in searches])
+    best_rows, best_utils = np.empty_like(starts), np.empty(len(starts))
+    frozen = np.empty(len(starts), dtype=bool)
+    evals = np.zeros(len(searches), dtype=np.int64)
+    seconds = np.zeros(len(searches))
+    for lo in range(0, len(starts), _SCAN_CHUNK):
+        group = slice(lo, min(lo + _SCAN_CHUNK, len(starts)))
+        t0, evals0 = time.perf_counter(), mech.evaluations
+        best_rows[group], best_utils[group], frozen[group] = _ascend(
+            mech, profiles[owner[group]], bidders[owner[group]], starts[group], gamma, steps)
+        spent = mech.evaluations - evals0
+        rows = np.bincount(owner[group], minlength=len(searches))
+        shares = spent // rows.sum() * rows
+        assert shares.sum() == spent, "lockstep rows must cost the same"
+        evals += shares
+        seconds += (time.perf_counter() - t0) * rows / rows.sum()
+    cuts = np.cumsum(sizes)[:-1]
+    return [_finish(*parts, int(count), float(secs)) for *parts, count, secs in zip(
+        searches, np.split(best_rows, cuts), np.split(best_utils, cuts), np.split(frozen, cuts),
+        evals, seconds)]
 
 
 def pga_single(mech: Mechanism, profile, bidder: int, start, gamma: float,
@@ -152,12 +260,28 @@ def pga_single(mech: Mechanism, profile, bidder: int, start, gamma: float,
     ``best_utility`` is never below the start's utility.
     """
     profile = as_profile(profile, mech.setting)
+    check_bidder(mech.setting, bidder)
     start = np.asarray(start, dtype=np.float64)
     if start.shape != (mech.setting.m,):
         raise InvalidInputError(f"start shape {start.shape} != ({mech.setting.m},)")
     evals0 = mech.evaluations
-    best_x, best_u, _ = _ascend(mech, profile, bidder, start[None, :], gamma, big_r)
+    best_x, best_u, _ = _ascend(mech, profile[None], np.array([bidder]), start[None, :],
+                                gamma, big_r)
     return best_x[0], float(best_u[0]), mech.evaluations - evals0
+
+
+def pga_search(mech: Mechanism, profile, bidder: int, cfg: PgaConfig, seed: int) -> _Search:
+    """The first half of ``random_restart_pga``: the truthful utility and the
+    L uniform starts."""
+    t0 = time.perf_counter()
+    evals0 = mech.evaluations
+    profile, base = _prepare(mech, profile, bidder)
+    starts = np.stack([
+        rng.spawn_generator(seed, rng.STREAM_CANDIDATE, l).random(mech.setting.m)
+        for l in range(cfg.big_l)
+    ])
+    return _Search(METHOD_PGA, profile, bidder, base, starts, cfg.gamma, cfg.big_r,
+                   mech.evaluations - evals0, time.perf_counter() - t0)
 
 
 def random_restart_pga(mech: Mechanism, profile, bidder: int, cfg: PgaConfig,
@@ -169,22 +293,7 @@ def random_restart_pga(mech: Mechanism, profile, bidder: int, cfg: PgaConfig,
     nondecreasing in L. Candidate aborts surface as the ``flagged`` field,
     never as failures.
     """
-    t0 = time.perf_counter()
-    m = mech.setting.m
-    evals0 = mech.evaluations
-    profile, base = _prepare(mech, profile, bidder)
-    starts = np.stack([
-        rng.spawn_generator(seed, rng.STREAM_CANDIDATE, l).random(m)
-        for l in range(cfg.big_l)
-    ])
-    best_rows, best_utils, flagged = _ascend(mech, profile, bidder, starts,
-                                             cfg.gamma, cfg.big_r)
-    win = _best_candidate(best_utils, best_rows)
-    value, row = _clamp_gain(float(best_utils[win]) - base, best_rows[win].copy(),
-                             profile[bidder])
-    return RegretEstimate(METHOD_PGA, bidder, value, row,
-                          mech.evaluations - evals0, time.perf_counter() - t0,
-                          gradient_steps=cfg.big_l * cfg.big_r, flagged=flagged)
+    return run_searches(mech, [pga_search(mech, profile, bidder, cfg, seed)])[0]
 
 
 def build_portfolio(profile, bidder: int, item_argmaxes, cfg: PortfolioConfig,
@@ -221,6 +330,20 @@ def build_portfolio(profile, bidder: int, item_argmaxes, cfg: PortfolioConfig,
     return np.stack(rows)
 
 
+def guided_search(mech: Mechanism, profile, bidder: int, grid: GridSpec,
+                   cfg: PortfolioConfig, seed: int,
+                   scan: Optional[ItemScan] = None) -> _Search:
+    """The first half of ``guided_refinement``: the grid phase (``scan`` when
+    the caller already holds it) and the portfolio built on its optima."""
+    t0 = time.perf_counter()
+    if scan is None:
+        scan = _scan_all_items(mech, profile, bidder, grid)
+    profile = np.asarray(profile, dtype=np.float64)
+    starts = build_portfolio(profile, bidder, scan.coords, cfg, seed)
+    return _Search(METHOD_GUIDED, profile, bidder, scan.base, starts, cfg.refine.gamma,
+                   cfg.refine.big_r, scan.evaluations, time.perf_counter() - t0, scan)
+
+
 def guided_refinement(mech: Mechanism, profile, bidder: int, grid: GridSpec,
                       cfg: PortfolioConfig, seed: int,
                       scan: Optional[ItemScan] = None) -> RegretEstimate:
@@ -232,27 +355,4 @@ def guided_refinement(mech: Mechanism, profile, bidder: int, grid: GridSpec,
     gain over the grid scan and every ascent iterate, so it can never fall
     below the grid lower bound. Evaluation counts include the grid phase.
     """
-    t0 = time.perf_counter()
-    if scan is None:
-        scan = _scan_all_items(mech, profile, bidder, grid)
-    profile = np.asarray(profile, dtype=np.float64)
-    evals0 = mech.evaluations
-    grid_best_item = int(np.argmax(scan.gains))
-    grid_lower = float(scan.gains[grid_best_item])
-
-    starts = build_portfolio(profile, bidder, scan.coords, cfg, seed)
-    refine = cfg.refine
-    best_rows, best_utils, flagged = _ascend(mech, profile, bidder, starts,
-                                             refine.gamma, refine.big_r)
-    win = _best_candidate(best_utils, best_rows)
-    pga_gain = float(best_utils[win]) - scan.base
-
-    if pga_gain >= grid_lower:
-        value, row = pga_gain, best_rows[win].copy()
-    else:
-        value, row = grid_lower, scan.row(grid_best_item)
-    value, row = _clamp_gain(value, row, scan.truthful)
-    return RegretEstimate(METHOD_GUIDED, bidder, value, row,
-                          scan.evaluations + mech.evaluations - evals0,
-                          time.perf_counter() - t0,
-                          gradient_steps=len(starts) * refine.big_r, flagged=flagged)
+    return run_searches(mech, [guided_search(mech, profile, bidder, grid, cfg, seed, scan)])[0]

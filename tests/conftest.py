@@ -26,6 +26,25 @@ class NanPaymentAuction(ra.PerItemFirstPriceAuction):
         return alloc, np.full_like(pay, np.nan)
 
 
+class NanAboveAuction(ra.PerItemFirstPriceAuction):
+    """First price, except that a bidder's payment is NaN wherever its own
+    bids sum to ``threshold`` or more: finite near truthful reports, NaN on
+    some misreports."""
+
+    def __init__(self, setting, threshold=1.5):
+        super().__init__(setting)
+        self.threshold = threshold
+
+    def _run_batch(self, batch):
+        alloc, pay = super()._run_batch(batch)
+        pay[batch.sum(axis=2) >= self.threshold] = np.nan
+        return alloc, pay
+
+
+#: the profile of the NaN examples; both bidders' bids sum to 0.7
+NAN_EXAMPLE_PROFILE = np.array([[0.3, 0.4], [0.2, 0.5]])
+
+
 @pytest.fixture
 def setting_2x2():
     return ra.AuctionSetting(2, 2)

@@ -1,6 +1,7 @@
 """CLI subcommands, output files, and exit codes."""
 
 import json
+from functools import partial
 
 import pytest
 from click.testing import CliRunner
@@ -8,7 +9,7 @@ from click.testing import CliRunner
 import regret_audit as ra
 from regret_audit.cli import cli
 
-from conftest import NanPaymentAuction
+from conftest import NanAboveAuction, NanPaymentAuction
 
 
 @pytest.fixture
@@ -95,6 +96,17 @@ class TestEval:
             result = runner.invoke(cli, eval_args(out, mechanism="nan_payment", methods=methods))
             assert result.exit_code == 2, result.output
             assert "non-finite truthful utility" in result.output
+        assert not out.exists()
+
+    def test_nonfinite_misreport_utility_exits_2(self, runner, tmp_path, monkeypatch):
+        monkeypatch.delenv("REGRET_AUDIT_THREADS", raising=False)
+        monkeypatch.setitem(ra.mechanisms.BUILTIN_MECHANISMS, "nan_above",
+                            partial(NanAboveAuction, threshold=1.2))
+        out = tmp_path / "report.json"
+        for methods in ("exhaustive", "lower_bound,item_wise", "guided"):
+            result = runner.invoke(cli, eval_args(out, mechanism="nan_above", methods=methods))
+            assert result.exit_code == 2, result.output
+            assert "non-finite misreport utility" in result.output
         assert not out.exists()
 
     def test_item_method(self, runner, tmp_path):

@@ -9,7 +9,7 @@ import pytest
 
 import regret_audit as ra
 
-from conftest import uniform_profile
+from conftest import NAN_EXAMPLE_PROFILE, NanAboveAuction, uniform_profile
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "neural_2x2_seed42.json").read_text())
 
@@ -118,6 +118,22 @@ class TestSecondPriceZeroRegret:
         profile = uniform_profile(setting, 0, 3)
         for item in range(2):
             assert ra.item_regret(mech, profile, 0, item, ra.GridSpec(10)).value == 0.0
+
+
+class TestNonFiniteMisreports:
+    @pytest.mark.parametrize("estimate", [
+        lambda mech, grid: ra.exhaustive_regret(mech, NAN_EXAMPLE_PROFILE, 1, grid),
+        lambda mech, grid: ra.item_regret(mech, NAN_EXAMPLE_PROFILE, 1, 0, grid),
+        lambda mech, grid: ra.lower_bound_regret(mech, NAN_EXAMPLE_PROFILE, 1, grid),
+        lambda mech, grid: ra.item_wise_regret(mech, NAN_EXAMPLE_PROFILE, 1, grid),
+    ], ids=["exhaustive", "item", "lower_bound", "item_wise"])
+    def test_nan_on_some_misreports_raises(self, estimate):
+        # truthful utility finite, NaN wherever bidder 1's bids sum to 1.2 or
+        # more; exhaustive used to report a false 0.0 here
+        mech = NanAboveAuction(ra.AuctionSetting(2, 2), threshold=1.2)
+        with pytest.raises(ra.InvalidInputError,
+                           match="bidder 1 a non-finite misreport utility"):
+            estimate(mech, ra.GridSpec(10))
 
 
 class TestEvalAccounting:

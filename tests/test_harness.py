@@ -2,15 +2,18 @@
 
 import importlib.util
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import regret_audit as ra
-from regret_audit.harness import _Cell, _cell_estimates, resolve_workers
+from regret_audit import harness, optimizer
+from regret_audit.harness import _Cell, _chunk_estimates, resolve_workers
+from regret_audit.sampling import KIND_CONTEXTUAL
 
-from conftest import NanPaymentAuction, uniform_profile
+from conftest import NanAboveAuction, NanPaymentAuction, uniform_profile
 
 
 def small_cfg(**overrides):
@@ -151,6 +154,11 @@ class TestRunAudit:
         assert fine.records[0].estimate.mech_evals > base.records[0].estimate.mech_evals
 
 
+def cell_estimates(cell, methods):
+    """The estimates of a chunk of one cell."""
+    return _chunk_estimates([cell], methods)[0]
+
+
 def one_cell(mech, profile, bidder, grid=ra.GridSpec(10), guided_grid=None):
     """A (sample, bidder) cell with cheap settings for every method."""
     return _Cell(mech, profile, bidder, grid, guided_grid or grid, ra.DEFAULT_EVAL_BUDGET,
@@ -171,7 +179,7 @@ class TestRegistry:
         mech = ra.PerItemFirstPriceAuction(setting)
         profile = uniform_profile(setting, 0, 7)
         with pytest.raises(ra.InvalidInputError, match="out of range"):
-            _cell_estimates(one_cell(mech, profile, bidder), (method,))
+            cell_estimates(one_cell(mech, profile, bidder), (method,))
 
     @pytest.mark.parametrize("method", ra.RUN_METHODS)
     def test_nonfinite_truthful_utility_rejected(self, method):
@@ -180,13 +188,13 @@ class TestRegistry:
         mech = NanPaymentAuction(setting)
         profile = uniform_profile(setting, 0, 7)
         with pytest.raises(ra.InvalidInputError, match="non-finite truthful utility"):
-            _cell_estimates(one_cell(mech, profile, 0), (method,))
+            cell_estimates(one_cell(mech, profile, 0), (method,))
 
     def test_sharing_is_invisible(self, setting_2x2, neural_2x2):
         profile = uniform_profile(setting_2x2, 0, 7)
         cell = one_cell(neural_2x2, profile, 1)
         before = neural_2x2.evaluations
-        shared = _cell_estimates(cell, ("lower_bound", "item_wise", "guided"))
+        shared = cell_estimates(cell, ("lower_bound", "item_wise", "guided"))
         executed = neural_2x2.evaluations - before
         alone = [
             ra.lower_bound_regret(neural_2x2, profile, 1, cell.grid),
@@ -206,7 +214,7 @@ class TestRegistry:
         profile = uniform_profile(setting_2x2, 0, 7)
         cell = one_cell(neural_2x2, profile, 0, guided_grid=ra.GridSpec(20))
         before = neural_2x2.evaluations
-        shared = _cell_estimates(cell, ("lower_bound", "item_wise", "guided"))
+        shared = cell_estimates(cell, ("lower_bound", "item_wise", "guided"))
         # lower_bound and item_wise share the q=10 scan; guided scans q=20
         executed = neural_2x2.evaluations - before
         assert executed == sum(e.mech_evals for e in shared) - shared[0].mech_evals
@@ -227,6 +235,117 @@ class TestRegistry:
                 assert np.array_equal(np.delete(est.best_misreport, j), np.delete(truthful, j))
                 assert est.mech_evals == lower.mech_evals
             assert max(e.value for e in items) == lower.value
+
+
+class TestLockstepAccounting:
+    @pytest.mark.parametrize("mechanism", ["neural", "first_price"])
+    def test_records_match_standalone_and_counter(self, mechanism, monkeypatch):
+        # analytic gradients (neural) and finite differences (first price)
+        setting = ra.AuctionSetting(2, 2)
+        cfg = small_cfg(methods=("lower_bound", "pga", "guided"), samples=3,
+                        portfolio=ra.PortfolioConfig(k=1, sigma_opt=0.2, sigma_truth=0.2,
+                                                     refine=ra.PgaConfig(0.1, 1, 30)),
+                        **({} if mechanism == "neural" else {"mechanism": mechanism}))
+        mech = harness.resolve_mechanism(cfg.mechanism, setting)
+        monkeypatch.setattr(harness, "resolve_mechanism", lambda source, setting: mech)
+        report = ra.run_audit(cfg)
+
+        # guided shares lower_bound's scan, which both records count
+        shared = sum(r.estimate.mech_evals for r in report.records
+                     if r.estimate.method == "lower_bound")
+        assert sum(r.estimate.mech_evals for r in report.records) - shared == mech.evaluations
+
+        alone = harness.resolve_mechanism(cfg.mechanism, setting)
+        for rec in report.records:
+            est = rec.estimate
+            profile = ra.sample_valuations(cfg.distribution, setting, rec.sample, cfg.seed)
+            seed = ra.rng.derive_seed(cfg.seed, ra.rng.STREAM_SEARCH, rec.sample, est.bidder)
+            ref = {
+                "lower_bound": lambda: ra.lower_bound_regret(alone, profile, est.bidder, cfg.grid),
+                "pga": lambda: ra.random_restart_pga(alone, profile, est.bidder, cfg.pga, seed),
+                "guided": lambda: ra.guided_refinement(alone, profile, est.bidder, cfg.grid,
+                                                       cfg.portfolio, seed),
+            }[est.method]()
+            assert (est.value, est.mech_evals, est.gradient_steps, est.flagged) == \
+                (ref.value, ref.mech_evals, ref.gradient_steps, ref.flagged)
+            assert np.array_equal(est.best_misreport, ref.best_misreport)
+
+
+class TestLockstepMemory:
+    @pytest.mark.parametrize("big_l", [4, 12])
+    def test_rows_in_memory_stay_under_the_cap(self, big_l, monkeypatch, tmp_path):
+        # a 10-row cap stands in for the default: 12 cells of 4 pga starts (or
+        # 12, more than the cap) and 3 guided starts must climb in batches of
+        # at most 10 rows, built no further ahead than one search, and give
+        # the report of an uncapped run
+        cfg = small_cfg(methods=("pga", "guided"), pga=ra.PgaConfig(0.1, big_l, 5))
+        reference = tmp_path / "reference.json"
+        ra.run_audit(replace(cfg, out=str(reference)))
+
+        cap, live, seen = 10, [0], []
+        monkeypatch.setattr(optimizer, "_SCAN_CHUNK", cap)
+        for name in ("pga_search", "guided_search"):
+            def counted(*args, build=getattr(harness, name), **kwargs):
+                search = build(*args, **kwargs)
+                live[0] += len(search.starts)
+                return search
+            monkeypatch.setattr(harness, name, counted)
+
+        def ascend(mech, profiles, *args, original=optimizer._ascend):
+            seen.append((len(profiles), live[0]))
+            return original(mech, profiles, *args)
+
+        def finish(search, *args, original=optimizer._finish):
+            live[0] -= len(search.starts)
+            return original(search, *args)
+
+        monkeypatch.setattr(optimizer, "_ascend", ascend)
+        monkeypatch.setattr(optimizer, "_finish", finish)
+        capped = tmp_path / "capped.json"
+        ra.run_audit(replace(cfg, out=str(capped)))
+
+        # pga: 2 searches per batch, or 2 groups per search; guided: 3 per batch
+        assert len(seen) == {4: 6, 12: 24}[big_l] + 4 and live[0] == 0
+        assert max(rows for rows, _ in seen) <= cap
+        assert max(held for _, held in seen) <= max(cap, big_l) + big_l
+        assert strip_wall(json.loads(capped.read_text())) == \
+            strip_wall(json.loads(reference.read_text()))
+
+
+class TestNonFiniteCandidatesInAudit:
+    @pytest.fixture(autouse=True)
+    def nan_above(self, monkeypatch):
+        monkeypatch.setitem(ra.mechanisms.BUILTIN_MECHANISMS, "nan_above", NanAboveAuction)
+
+    def test_nan_candidates_flag_records(self):
+        # contextual valuations stay low, so every grid row is finite, while
+        # some ascent candidates bid 1.5 or more in total and earn NaN
+        cfg = small_cfg(mechanism="nan_above", methods=("lower_bound", "pga", "guided"),
+                        distribution=ra.ValuationDistribution(
+                            kind=KIND_CONTEXTUAL, x_contexts=(1, 1), y_contexts=(1, 2)),
+                        grid=ra.GridSpec(10), pga=ra.PgaConfig(0.1, 8, 20), samples=3, seed=0,
+                        portfolio=ra.PortfolioConfig(k=4, sigma_opt=0.5, sigma_truth=0.5,
+                                                     refine=ra.PgaConfig(0.1, 1, 20)))
+        report = ra.run_audit(cfg)
+        by_method = {}
+        for rec in report.records:
+            by_method.setdefault(rec.estimate.method, []).append(rec.estimate)
+        assert any(e.flagged for e in by_method["pga"])
+        assert any(e.flagged for e in by_method["guided"])
+        for guided, lower in zip(by_method["guided"], by_method["lower_bound"]):
+            assert np.isfinite(guided.value) and guided.value >= lower.value
+
+    def test_no_finite_candidate_raises(self):
+        cfg = small_cfg(mechanism="nan_above", methods=("pga",), grid=ra.GridSpec(10),
+                        pga=ra.PgaConfig(0.1, 1, 20), samples=3, seed=0)
+        with pytest.raises(ra.InvalidInputError, match="every pga candidate"):
+            ra.run_audit(cfg)
+
+    def test_guided_nan_grid_row_raises(self):
+        cfg = small_cfg(mechanism="nan_above", methods=("guided",), grid=ra.GridSpec(10),
+                        samples=3, seed=0)
+        with pytest.raises(ra.InvalidInputError, match="non-finite misreport utility"):
+            ra.run_audit(cfg)
 
 
 class TestDeterminism:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import regret_audit as ra
-from regret_audit.mechanisms import fd_gradient_rows
+from regret_audit.mechanisms import fd_gradient_rows, rows_to_profiles
 
 from conftest import ConstantMechanism, uniform_profile
 
@@ -193,6 +193,25 @@ class TestGradients:
             u, _ = neural_2x2.utility_and_gradient_many(profile[None], 0, profile[0])
             u_run = ra.evaluate_misreports(neural_2x2, profile, 0, profile[0][None, :])
             assert u[0] == u_run[0]
+
+
+    @pytest.mark.parametrize("bidder", [0, 2])
+    def test_int_bidder_matches_per_row_bidders(self, bidder):
+        # one bidder is selected by a slice, per-row bidders by a gather
+        setting = ra.AuctionSetting(3, 2)
+        mech = ra.load_neural_mechanism(ra.generate_neural_spec(setting, 16, 42))
+        profile = uniform_profile(setting, 0, 5)
+        rows = np.random.default_rng(3).random((7, 2))
+        per_row = np.full(len(rows), bidder)
+        batch = rows_to_profiles(profile, bidder, rows)
+        assert np.array_equal(batch, rows_to_profiles(profile, per_row, rows))
+        assert np.array_equal(ra.evaluate_misreports(mech, profile, bidder, rows),
+                              ra.evaluate_misreports(mech, profile, per_row, rows))
+        assert np.array_equal(fd_gradient_rows(mech, profile, bidder, rows),
+                              fd_gradient_rows(mech, profile, per_row, rows))
+        one = mech.utility_and_gradient_many(batch, bidder, profile[bidder])
+        many = mech.utility_and_gradient_many(batch, per_row, np.tile(profile[bidder], (7, 1)))
+        assert all(np.array_equal(a, b) for a, b in zip(one, many))
 
 
 class TestNeuralSpec:

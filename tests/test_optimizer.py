@@ -6,7 +6,7 @@ import pytest
 import regret_audit as ra
 from regret_audit import rng
 
-from conftest import ConstantMechanism, uniform_profile
+from conftest import NAN_EXAMPLE_PROFILE, ConstantMechanism, NanAboveAuction, uniform_profile
 
 
 class TestConfigs:
@@ -81,6 +81,16 @@ class TestPgaSingle:
         assert evals == 1 + 10 * (2 * 2 + 1)
 
 
+    @pytest.mark.parametrize("bidder", [-1, 2])
+    def test_bidder_out_of_range_rejected(self, bidder):
+        # -1 used to answer for bidder n-1, and n raised a raw IndexError
+        setting = ra.AuctionSetting(2, 2)
+        mech = ra.PerItemFirstPriceAuction(setting)
+        with pytest.raises(ra.InvalidInputError, match="out of range"):
+            ra.pga_single(mech, uniform_profile(setting, 0, 7), bidder, [0.5, 0.5],
+                          gamma=0.1, big_r=5)
+
+
 class TestRandomRestartPga:
     def test_second_price_zero_for_any_config(self, setting_2x2):
         mech = ra.SecondPriceAuction(setting_2x2)
@@ -141,13 +151,15 @@ class BrokenGradientMechanism(ra.Mechanism):
         return alloc, pay
 
     def utility_and_gradient_many(self, batch, bidder, valuation_row, validate=True):
+        # bidder: an int or one per row; valuation_row: one row or one per row
         batch = self._check_batch(batch, validate)
-        self._charge(batch.shape[0])
+        B = batch.shape[0]
+        self._charge(B)
         n, m = self.setting.n, self.setting.m
-        v = np.asarray(valuation_row, dtype=np.float64)
-        u = np.full(batch.shape[0], (v / (n + 1)).sum())
-        grad = np.ones((batch.shape[0], m))
-        grad[batch[:, bidder, :].max(axis=1) > 0.5] = np.nan
+        v = np.broadcast_to(np.asarray(valuation_row, dtype=np.float64), (B, m))
+        u = (v / (n + 1)).sum(axis=1)
+        grad = np.ones((B, m))
+        grad[batch[np.arange(B), bidder].max(axis=1) > 0.5] = np.nan
         return u, grad
 
 
@@ -165,6 +177,52 @@ class TestNonFiniteGradients:
         profile = uniform_profile(setting_2x2, 0, 7)
         est = ra.random_restart_pga(neural_2x2, profile, 0, ra.PgaConfig(0.1, 3, 10), seed=2)
         assert not est.flagged
+
+
+class TestNonFiniteCandidates:
+    """A candidate whose best utility is NaN is left out and flags the
+    estimate; none finite is an InvalidInputError, never a raw IndexError."""
+
+    def setup_method(self):
+        self.mech = NanAboveAuction(ra.AuctionSetting(2, 2))
+
+    def _check_reported(self, est):
+        # the reported misreport re-earns the reported gain
+        bids = NAN_EXAMPLE_PROFILE.copy()
+        bids[0] = est.best_misreport
+        gain = (ra.utility(self.mech, NAN_EXAMPLE_PROFILE[0], bids, 0)
+                - ra.utility(self.mech, NAN_EXAMPLE_PROFILE[0], NAN_EXAMPLE_PROFILE, 0))
+        assert est.flagged
+        assert est.value == pytest.approx(gain, abs=1e-12)
+
+    def test_pga_leaves_out_nan_candidates(self):
+        starts = [rng.spawn_generator(1, rng.STREAM_CANDIDATE, l).random(2) for l in range(8)]
+        assert sum(start.sum() >= self.mech.threshold for start in starts) == 3
+        est = ra.random_restart_pga(self.mech, NAN_EXAMPLE_PROFILE, 0,
+                                    ra.PgaConfig(0.1, 8, 30), seed=1)
+        self._check_reported(est)
+        assert est.value > 0.0
+
+    def test_pga_with_no_finite_candidate_raises(self):
+        start = rng.spawn_generator(0, rng.STREAM_CANDIDATE, 0).random(2)
+        assert start.sum() >= self.mech.threshold
+        with pytest.raises(ra.InvalidInputError, match="every pga candidate"):
+            ra.random_restart_pga(self.mech, NAN_EXAMPLE_PROFILE, 0,
+                                  ra.PgaConfig(0.1, 1, 30), seed=0)
+
+    def test_guided_leaves_out_nan_candidates(self):
+        cfg = ra.PortfolioConfig(k=4, sigma_opt=0.5, sigma_truth=0.5,
+                                 refine=ra.PgaConfig(0.1, 1, 30))
+        grid = ra.GridSpec(10)
+        est = ra.guided_refinement(self.mech, NAN_EXAMPLE_PROFILE, 0, grid, cfg, seed=3)
+        self._check_reported(est)
+        assert est.value == ra.lower_bound_regret(self.mech, NAN_EXAMPLE_PROFILE, 0, grid).value
+
+    def test_guided_grid_phase_raises_on_nan_misreport(self):
+        mech = NanAboveAuction(ra.AuctionSetting(2, 2), threshold=1.2)
+        with pytest.raises(ra.InvalidInputError, match="non-finite misreport utility"):
+            ra.guided_refinement(mech, NAN_EXAMPLE_PROFILE, 0, ra.GridSpec(10),
+                                 ra.PortfolioConfig(), seed=0)
 
 
 class TestPortfolio:
