@@ -20,6 +20,7 @@ which a caller already holding it passes as ``scan=``.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -100,19 +101,6 @@ def _prepare(mech: Mechanism, profile, bidder: int):
     return profile, base
 
 
-def _misreport_gains(mech: Mechanism, profile: np.ndarray, bidder: int, rows: np.ndarray,
-                     base: float) -> np.ndarray:
-    """Gains over ``base`` of the bidder's misreport rows. A non-finite
-    utility raises InvalidInputError: a NaN would otherwise drop out of an
-    argmax scan and leave a false 0.0."""
-    utils = evaluate_misreports(mech, profile, bidder, rows)
-    if not np.isfinite(utils).all():
-        bad = rows[np.flatnonzero(~np.isfinite(utils))[0]]
-        raise InvalidInputError(
-            f"mechanism gives bidder {bidder} a non-finite misreport utility at {bad.tolist()}")
-    return utils - base
-
-
 def _clamp_gain(gain: float, row: np.ndarray, truthful: np.ndarray):
     """(gain, row) for a strict gain, else (0.0, truthful row)."""
     if gain <= 0.0:
@@ -137,6 +125,44 @@ class ItemScan:
         row[item] = self.coords[item]
         return row
 
+    def best(self):
+        """(gain, row) of the best single-item deviation: the grid lower bound
+        on the regret, the first item winning ties."""
+        j = int(np.argmax(self.gains))
+        return float(self.gains[j]), self.row(j)
+
+
+def _grid_best(mech: Mechanism, profile: np.ndarray, bidder: int, base: float, axes):
+    """Clamped best gain over ``base`` of the misreport rows in the product
+    of ``axes`` (one array of points per coordinate), with its row.
+
+    Rows are scanned in lexicographic order, ``_SCAN_CHUNK`` at a time, and
+    the first maximum wins. The truthful row, when not in the product, costs
+    one more evaluation, which pins the gain floor at 0. A non-finite
+    utility raises InvalidInputError: a NaN would otherwise drop out of the
+    argmax and leave a false 0.0.
+    """
+    truthful = profile[bidder]
+    sizes = tuple(len(axis) for axis in axes)
+    total = math.prod(sizes)
+    best_gain, best_row = -np.inf, None
+    for start in range(0, total, _SCAN_CHUNK):
+        flat = np.arange(start, min(start + _SCAN_CHUNK, total))
+        rows = np.empty((flat.size, len(axes)))
+        for k, index in enumerate(np.unravel_index(flat, sizes)):
+            rows[:, k] = axes[k][index]
+        utils = evaluate_misreports(mech, profile, bidder, rows)
+        if not np.isfinite(utils).all():
+            raise InvalidInputError(f"mechanism gives bidder {bidder} a non-finite misreport "
+                                    f"utility at {rows[np.argmin(np.isfinite(utils))].tolist()}")
+        gains = utils - base
+        i = int(np.argmax(gains))
+        if gains[i] > best_gain:
+            best_gain, best_row = float(gains[i]), rows[i].copy()
+    if not all((axis == t).any() for t, axis in zip(truthful, axes)):
+        evaluate_misreports(mech, profile, bidder, truthful[None, :])
+    return _clamp_gain(best_gain, best_row, truthful)
+
 
 def _scan_all_items(mech: Mechanism, profile, bidder: int, grid: GridSpec) -> ItemScan:
     """Scan each item's coordinate over the grid, others truthful: one
@@ -147,16 +173,10 @@ def _scan_all_items(mech: Mechanism, profile, bidder: int, grid: GridSpec) -> It
     pts = grid.points
     truthful = profile[bidder]
     m = truthful.shape[0]
-    gains = np.empty(m)
-    coords = np.empty(m)
+    gains, coords = np.empty(m), np.empty(m)
     for j in range(m):
-        rows = np.broadcast_to(truthful, (pts.size, m)).copy()
-        rows[:, j] = pts
-        item_gains = _misreport_gains(mech, profile, bidder, rows, base)
-        i = int(np.argmax(item_gains))
-        if not np.isin(truthful[j], pts):
-            evaluate_misreports(mech, profile, bidder, truthful[None, :])
-        gains[j], row = _clamp_gain(float(item_gains[i]), rows[i], truthful)
+        axes = [pts if k == j else truthful[k:k + 1] for k in range(m)]
+        gains[j], row = _grid_best(mech, profile, bidder, base, axes)
         coords[j] = row[j]
     return ItemScan(truthful.copy(), base, gains, coords, mech.evaluations - evals0)
 
@@ -180,24 +200,7 @@ def exhaustive_regret(mech: Mechanism, profile, bidder: int, grid: GridSpec,
 
     evals0 = mech.evaluations
     profile, base = _prepare(mech, profile, bidder)
-
-    shape = (pts.size,) * m
-    best_gain = -np.inf
-    best_row = None
-    for start in range(0, total, _SCAN_CHUNK):
-        flat = np.arange(start, min(start + _SCAN_CHUNK, total))
-        rows = pts[np.stack(np.unravel_index(flat, shape), axis=1)]
-        gains = _misreport_gains(mech, profile, bidder, rows, base)
-        i = int(np.argmax(gains))
-        if gains[i] > best_gain:
-            best_gain = float(gains[i])
-            best_row = rows[i].copy()
-
-    if not np.isin(profile[bidder], pts).all():
-        # truthful row off-grid: scanned in addition, pinning the gain floor at 0
-        evaluate_misreports(mech, profile, bidder, profile[bidder][None, :])
-
-    value, best_row = _clamp_gain(best_gain, best_row, profile[bidder])
+    value, best_row = _grid_best(mech, profile, bidder, base, [pts] * m)
     return RegretEstimate(METHOD_EXHAUSTIVE, bidder, value, best_row,
                           mech.evaluations - evals0, time.perf_counter() - t0)
 
@@ -224,9 +227,8 @@ def lower_bound_regret(mech: Mechanism, profile, bidder: int, grid: GridSpec,
     t0 = time.perf_counter()
     if scan is None:
         scan = _scan_all_items(mech, profile, bidder, grid)
-    j = int(np.argmax(scan.gains))
-    return RegretEstimate(METHOD_LOWER_BOUND, bidder, float(scan.gains[j]), scan.row(j),
-                          scan.evaluations, time.perf_counter() - t0)
+    return RegretEstimate(METHOD_LOWER_BOUND, bidder, *scan.best(), scan.evaluations,
+                          time.perf_counter() - t0)
 
 
 def item_wise_regret(mech: Mechanism, profile, bidder: int, grid: GridSpec,

@@ -65,16 +65,14 @@ class Mechanism:
     workers at once; the evaluation counter is the only mutable state and is
     incremented under a lock, by exactly one per evaluated profile.
 
-    A subclass implements ``_run_batch`` (and, with an analytic gradient,
-    ``utility_and_gradient_many``) so that each profile's result is bitwise
-    independent of the rest of its batch. Audits group the rows of many
-    (sample, bidder) searches into one call, and which rows share a call
-    depends on the worker count; only row independence makes reports equal
-    for every worker count and equal to the standalone estimator functions.
+    A subclass implements ``_run_batch``, and may override
+    ``utility_and_gradient_many`` with an analytic gradient, so that each
+    profile's result is bitwise independent of the rest of its batch. Audits
+    group the rows of many (sample, bidder) searches into one call, and which
+    rows share a call depends on the worker count; only row independence
+    makes reports equal for every worker count and equal to the standalone
+    estimator functions.
     """
-
-    #: provides utility_and_gradient_many instead of finite differences
-    has_analytic_gradient = False
 
     def __init__(self, setting: AuctionSetting):
         self.setting = setting
@@ -103,6 +101,26 @@ class Mechanism:
             if batch.min() < 0.0 or batch.max() > 1.0:
                 raise InvalidInputError("bids must lie in [0, 1]")
         return batch
+
+    def _check_gradient_args(self, batch, bidder, valuation_row, validate: bool):
+        """Every ``utility_and_gradient_many``'s checks; returns (batch, valuations)."""
+        batch = self._check_batch(batch, validate)
+        check_bidder(self.setting, bidder)
+        B, m = batch.shape[0], self.setting.m
+        v = np.asarray(valuation_row, dtype=np.float64)
+        if v.shape not in ((m,), (B, m)):
+            raise InvalidInputError(f"valuation row shape {v.shape} != ({m},) or ({B}, {m})")
+        return batch, v
+
+    def utility_and_gradient_many(self, batch, bidder, valuation_row, validate: bool = True):
+        """Utilities (B,) and their gradients (B, m) w.r.t. each row's bidder's
+        own bid row; ``bidder`` is an int or one per row, ``valuation_row`` an
+        (m,) row or one per row. This default takes central finite differences,
+        2m+1 evaluations per profile; an analytic gradient overrides it."""
+        batch, v = self._check_gradient_args(batch, bidder, valuation_row, validate)
+        rows = batch[_own(batch.shape[0], bidder)]
+        return (evaluate_misreports(self, batch, bidder, rows, valuation_row=v),
+                fd_gradient_rows(self, batch, bidder, rows, valuation_row=v))
 
     def run(self, bids, validate: bool = True) -> Tuple[np.ndarray, np.ndarray]:
         """Evaluate one bid profile, returning (allocation, payments)."""
@@ -274,6 +292,8 @@ def spec_to_dict(spec: NeuralMechanismSpec) -> dict:
 
 
 def spec_from_dict(data: dict) -> NeuralMechanismSpec:
+    if not isinstance(data, dict):
+        raise MechanismLoadError(f"mechanism spec must be a JSON object, got {type(data).__name__}")
     version = data.get("format_version")
     if version != SPEC_FORMAT_VERSION:
         raise MechanismLoadError(
@@ -286,7 +306,7 @@ def spec_from_dict(data: dict) -> NeuralMechanismSpec:
             hidden_width=int(data["hidden_width"]),
             **{f: np.asarray(data[f], dtype=np.float64) for f in _SPEC_ARRAY_FIELDS},
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise MechanismLoadError(f"malformed mechanism spec: {exc}") from exc
     validate_neural_spec(spec)
     return spec
@@ -305,7 +325,7 @@ def read_neural_spec(path) -> NeuralMechanismSpec:
             data = json.load(fh)
     except OSError as exc:
         raise MechanismLoadError(f"cannot read mechanism spec {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # undecodable bytes or invalid JSON
         raise MechanismLoadError(f"mechanism spec {path} is not valid JSON: {exc}") from exc
     return spec_from_dict(data)
 
@@ -313,7 +333,6 @@ def read_neural_spec(path) -> NeuralMechanismSpec:
 class NeuralMechanism(Mechanism):
     """Fixed-weight feedforward softmax mechanism with analytic gradients."""
 
-    has_analytic_gradient = True
     def __init__(self, spec: NeuralMechanismSpec):
         validate_neural_spec(spec)
         super().__init__(spec.setting)
@@ -347,22 +366,12 @@ class NeuralMechanism(Mechanism):
         _, _, _, _, alloc, pay = self._forward(batch)
         return alloc, pay
 
-    def utility_and_gradient_many(self, batch, bidder, valuation_row,
-                                  validate: bool = True):
-        """Utility and its gradient w.r.t. each row's bidder's own bid row.
-
-        ``bidder`` is an int or a (B,) array of per-row bidders, and
-        ``valuation_row`` an (m,) row or one row per profile. One combined
-        forward/backward pass per profile, charged as a single evaluation
-        each. Returns (utilities (B,), gradients (B, m)).
-        """
-        batch = self._check_batch(batch, validate)
-        n, m = self.setting.n, self.setting.m
-        check_bidder(self.setting, bidder)
-        B = batch.shape[0]
-        v = np.asarray(valuation_row, dtype=np.float64)
-        if v.shape not in ((m,), (B, m)):
-            raise InvalidInputError(f"valuation row shape {v.shape} != ({m},) or ({B}, {m})")
+    def utility_and_gradient_many(self, batch, bidder, valuation_row, validate: bool = True):
+        """The analytic form of ``Mechanism.utility_and_gradient_many``: one
+        combined forward/backward pass per profile, charged as a single
+        evaluation each."""
+        batch, v = self._check_gradient_args(batch, bidder, valuation_row, validate)
+        B, n, m = batch.shape
 
         h, g_full, sig, reported, alloc, pay = self._forward(batch)
         self._charge(B)
@@ -485,14 +494,9 @@ def utility(mech: Mechanism, valuation_row, bids, bidder: int) -> float:
 
 
 def utility_gradient(mech: Mechanism, valuation_row, bids, bidder: int) -> np.ndarray:
-    """Gradient of the bidder's utility w.r.t. its own bid row.
-
-    Uses the mechanism's analytic gradient when advertised, otherwise central
-    finite differences with step 1e-5 and boundary clamping.
-    """
+    """Gradient of the bidder's utility w.r.t. its own bid row: analytic where
+    the mechanism overrides ``utility_and_gradient_many``, else central finite
+    differences with step 1e-5 and boundary clamping."""
     bids = as_profile(bids, mech.setting)
-    if mech.has_analytic_gradient:
-        _, grad = mech.utility_and_gradient_many(bids[None, ...], bidder, valuation_row)
-        return grad[0]
-    return fd_gradient_rows(mech, bids, bidder, bids[bidder][None, :],
-                            valuation_row=valuation_row)[0]
+    _, grad = mech.utility_and_gradient_many(bids[None, ...], bidder, valuation_row)
+    return grad[0]

@@ -36,8 +36,9 @@ from .mechanisms import (
     as_profile,
     check_bidder,
     evaluate_misreports,
-    fd_gradient_rows,
     rows_to_profiles,
+    # importable here, where perfbench/tracer.py binds its span
+    fd_gradient_rows,  # noqa: F401
 )
 
 
@@ -122,28 +123,23 @@ def _ascend(mech: Mechanism, profiles: np.ndarray, bidders: np.ndarray, starts: 
     far is kept. Returns (best_rows, best_utils, frozen), one entry per row.
     """
     x = np.clip(np.asarray(starts, dtype=np.float64), 0.0, 1.0).copy()
-    analytic = mech.has_analytic_gradient
     v = profiles[np.arange(x.shape[0]), bidders]
 
-    def evaluate(rows):
-        """(utilities, analytic gradients or None) of the rows."""
-        if analytic:
-            # one combined pass: gradient comes with the utility at no extra cost
-            return mech.utility_and_gradient_many(
-                rows_to_profiles(profiles, bidders, rows), bidders, v, validate=False)
-        return evaluate_misreports(mech, profiles, bidders, rows), None
+    def evaluate(rows, last):
+        """Utilities of the rows, and their gradients unless no step follows."""
+        if last:
+            return evaluate_misreports(mech, profiles, bidders, rows), None
+        return mech.utility_and_gradient_many(
+            rows_to_profiles(profiles, bidders, rows), bidders, v, validate=False)
 
-    u, g = evaluate(x)
-    best_u = u.copy()
-    best_x = x.copy()
+    u, g = evaluate(x, steps == 0)
+    best_u, best_x = u.copy(), x.copy()
     frozen = np.zeros(x.shape[0], dtype=bool)
-    for _ in range(steps):
-        if not analytic:
-            g = fd_gradient_rows(mech, profiles, bidders, x)
+    for step in range(1, steps + 1):
         frozen |= ~np.isfinite(g).all(axis=1)
         g[frozen] = 0.0
         x = np.clip(x + gamma * g, 0.0, 1.0)
-        u, g = evaluate(x)
+        u, g = evaluate(x, step == steps)
         improved = u > best_u
         if improved.any():
             best_u = np.where(improved, u, best_u)
@@ -185,11 +181,9 @@ def _finish(search: _Search, best_rows: np.ndarray, best_utils: np.ndarray,
     best_rows, best_utils = best_rows[finite], best_utils[finite]
     win = _best_candidate(best_utils, best_rows)
     value, row = float(best_utils[win]) - search.base, best_rows[win].copy()
-    scan = search.scan
-    if scan is not None:
-        grid_best_item = int(np.argmax(scan.gains))
-        if value < scan.gains[grid_best_item]:
-            value, row = float(scan.gains[grid_best_item]), scan.row(grid_best_item)
+    floor = search.scan.best() if search.scan is not None else (-np.inf, None)
+    if value < floor[0]:
+        value, row = floor
     value, row = _clamp_gain(value, row, search.profile[search.bidder])
     return RegretEstimate(search.method, search.bidder, value, row, search.evals + evals,
                           search.seconds + seconds + time.perf_counter() - t0,
@@ -221,9 +215,8 @@ def _climb(mech: Mechanism, searches: Sequence[_Search]) -> List[RegretEstimate]
     """One lockstep batch of ``run_searches``.
 
     Rows climb in groups of at most ``_SCAN_CHUNK``, one mechanism call per
-    group and step; every row costs the same per step, so each group's
-    evaluations and seconds are charged to the searches by their share of
-    its rows.
+    group and step; every row costs the same, so the batch's evaluations and
+    seconds are charged to the searches by their number of rows.
     """
     gamma, steps = searches[0].gamma, searches[0].steps
     assert all((s.gamma, s.steps) == (gamma, steps) for s in searches)
@@ -234,23 +227,18 @@ def _climb(mech: Mechanism, searches: Sequence[_Search]) -> List[RegretEstimate]
     bidders = np.array([s.bidder for s in searches])
     best_rows, best_utils = np.empty_like(starts), np.empty(len(starts))
     frozen = np.empty(len(starts), dtype=bool)
-    evals = np.zeros(len(searches), dtype=np.int64)
-    seconds = np.zeros(len(searches))
+    t0, evals0 = time.perf_counter(), mech.evaluations
     for lo in range(0, len(starts), _SCAN_CHUNK):
         group = slice(lo, min(lo + _SCAN_CHUNK, len(starts)))
-        t0, evals0 = time.perf_counter(), mech.evaluations
         best_rows[group], best_utils[group], frozen[group] = _ascend(
             mech, profiles[owner[group]], bidders[owner[group]], starts[group], gamma, steps)
-        spent = mech.evaluations - evals0
-        rows = np.bincount(owner[group], minlength=len(searches))
-        shares = spent // rows.sum() * rows
-        assert shares.sum() == spent, "lockstep rows must cost the same"
-        evals += shares
-        seconds += (time.perf_counter() - t0) * rows / rows.sum()
+    evals_per_row, rest = divmod(mech.evaluations - evals0, len(starts))
+    assert rest == 0, "lockstep rows must cost the same"
+    seconds_per_row = (time.perf_counter() - t0) / len(starts)
     cuts = np.cumsum(sizes)[:-1]
-    return [_finish(*parts, int(count), float(secs)) for *parts, count, secs in zip(
-        searches, np.split(best_rows, cuts), np.split(best_utils, cuts), np.split(frozen, cuts),
-        evals, seconds)]
+    return [_finish(s, rows, utils, flags, evals_per_row * len(rows), seconds_per_row * len(rows))
+            for s, rows, utils, flags in zip(searches, np.split(best_rows, cuts),
+                                             np.split(best_utils, cuts), np.split(frozen, cuts))]
 
 
 def pga_single(mech: Mechanism, profile, bidder: int, start, gamma: float,

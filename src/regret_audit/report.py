@@ -108,6 +108,8 @@ def report_to_dict(report: AuditReport) -> dict:
 
 
 def report_from_dict(data: dict) -> AuditReport:
+    if not isinstance(data, dict):
+        raise ReportFormatError(f"a report must be a JSON object, got {type(data).__name__}")
     version = data.get("format_version")
     if version != REPORT_FORMAT_VERSION:
         raise ReportFormatError(
@@ -129,7 +131,8 @@ def report_from_dict(data: dict) -> AuditReport:
             wall_seconds=float(data["wall_seconds"]),
             format_version=int(version),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        # ValueError covers a record that RegretEstimate rejects (InvalidInputError)
         raise ReportFormatError(f"malformed report: {exc}") from exc
 
 
@@ -156,9 +159,11 @@ def write_report(report: AuditReport, path) -> None:
 
 
 def read_report(path) -> AuditReport:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ReportFormatError(f"report {path} is not valid JSON: {exc}") from exc
+    except OSError as exc:
+        raise ReportFormatError(f"cannot read report {path}: {exc}") from exc
+    except ValueError as exc:  # undecodable bytes or invalid JSON
+        raise ReportFormatError(f"report {path} is not valid JSON: {exc}") from exc
     return report_from_dict(data)

@@ -81,6 +81,12 @@ class TestEval:
         del args[args.index("--bidders"):args.index("--bidders") + 2]
         result = runner.invoke(cli, args)
         assert result.exit_code == 2
+        spec_path = tmp_path / "mech.json"
+        data = ra.mechanisms.spec_to_dict(ra.generate_neural_spec(ra.AuctionSetting(2, 2), 8, 7))
+        spec_path.write_text(json.dumps({**data, "hidden_width": "x"}))
+        result = runner.invoke(cli, eval_args(out, mechanism=str(spec_path)))
+        assert result.exit_code == 2, result.output
+        assert "malformed mechanism spec" in result.output
 
     def test_infinite_std_exits_2(self, runner, tmp_path):
         out = tmp_path / "report.json"

@@ -409,10 +409,18 @@ class TestReportIO:
         path = tmp_path / "report.json"
         ra.write_report(report, path)
         data = json.loads(path.read_text())
-        data["format_version"] = 12
-        path.write_text(json.dumps(data))
-        with pytest.raises(ra.ReportFormatError, match="format_version"):
-            ra.read_report(path)
+        cases = [
+            ({**data, "format_version": 12}, "format_version"),
+            ([data], "JSON object"),
+            ({**data, "samples": "x"}, "malformed"),
+            ({**data, "records": [{**data["records"][0], "value": -1.0}]}, "malformed"),
+        ]
+        for bad, match in cases:
+            path.write_text(json.dumps(bad))
+            with pytest.raises(ra.ReportFormatError, match=match):
+                ra.read_report(path)
+        with pytest.raises(ra.ReportFormatError, match="cannot read"):
+            ra.read_report(tmp_path / "missing.json")
 
     def test_zero_sample_report_rejected_at_write(self, tmp_path):
         report = ra.run_audit(small_cfg(samples=2))

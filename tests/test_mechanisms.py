@@ -12,6 +12,11 @@ from regret_audit.mechanisms import fd_gradient_rows, rows_to_profiles
 
 from conftest import ConstantMechanism, uniform_profile
 
+#: a mechanism inheriting the finite-difference gradient, and one overriding it
+GRADIENT_MECHANISMS = {
+    "first_price": ra.PerItemFirstPriceAuction,
+    "neural": lambda setting: ra.load_neural_mechanism(ra.generate_neural_spec(setting, 16, 42)),
+}
 GOLDEN = json.loads((Path(__file__).parent / "data" / "neural_2x2_seed42.json").read_text())
 
 
@@ -194,24 +199,48 @@ class TestGradients:
             u_run = ra.evaluate_misreports(neural_2x2, profile, 0, profile[0][None, :])
             assert u[0] == u_run[0]
 
+    @pytest.mark.parametrize("kind", ["first_price", "neural"])
+    @pytest.mark.parametrize("bidder", [-1, 2])
+    def test_utility_gradient_rejects_bad_bidder(self, setting_2x2, kind, bidder):
+        mech = GRADIENT_MECHANISMS[kind](setting_2x2)
+        profile = uniform_profile(setting_2x2, 0, 7)
+        with pytest.raises(ra.InvalidInputError, match="out of range"):
+            ra.utility_gradient(mech, profile[0], profile, bidder)
+
+    @pytest.mark.parametrize("kind", ["first_price", "neural"])
+    @pytest.mark.parametrize("valuation", [[0.5], [0.5, 0.5, 0.5], [[0.5, 0.5]] * 2])
+    def test_utility_gradient_rejects_bad_valuation_shape(self, setting_2x2, kind, valuation):
+        mech = GRADIENT_MECHANISMS[kind](setting_2x2)
+        profile = uniform_profile(setting_2x2, 0, 7)
+        with pytest.raises(ra.InvalidInputError, match="valuation row shape"):
+            ra.utility_gradient(mech, valuation, profile, 0)
 
     @pytest.mark.parametrize("bidder", [0, 2])
     def test_int_bidder_matches_per_row_bidders(self, bidder):
         # one bidder is selected by a slice, per-row bidders by a gather
         setting = ra.AuctionSetting(3, 2)
-        mech = ra.load_neural_mechanism(ra.generate_neural_spec(setting, 16, 42))
         profile = uniform_profile(setting, 0, 5)
         rows = np.random.default_rng(3).random((7, 2))
         per_row = np.full(len(rows), bidder)
+        values = np.tile(profile[bidder], (7, 1))
         batch = rows_to_profiles(profile, bidder, rows)
         assert np.array_equal(batch, rows_to_profiles(profile, per_row, rows))
-        assert np.array_equal(ra.evaluate_misreports(mech, profile, bidder, rows),
-                              ra.evaluate_misreports(mech, profile, per_row, rows))
-        assert np.array_equal(fd_gradient_rows(mech, profile, bidder, rows),
-                              fd_gradient_rows(mech, profile, per_row, rows))
-        one = mech.utility_and_gradient_many(batch, bidder, profile[bidder])
-        many = mech.utility_and_gradient_many(batch, per_row, np.tile(profile[bidder], (7, 1)))
-        assert all(np.array_equal(a, b) for a, b in zip(one, many))
+        for kind, factory in GRADIENT_MECHANISMS.items():
+            mech = factory(setting)
+            assert np.array_equal(ra.evaluate_misreports(mech, profile, bidder, rows),
+                                  ra.evaluate_misreports(mech, profile, per_row, rows))
+            assert np.array_equal(fd_gradient_rows(mech, profile, bidder, rows),
+                                  fd_gradient_rows(mech, profile, per_row, rows))
+            evals0 = mech.evaluations
+            one = mech.utility_and_gradient_many(batch, bidder, profile[bidder])
+            many = mech.utility_and_gradient_many(batch, per_row, values)
+            assert all(np.array_equal(a, b) for a, b in zip(one, many))
+            if kind == "first_price":
+                # the inherited finite-difference default: 2m+1 evaluations per row
+                assert mech.evaluations - evals0 == 2 * 7 * (2 * 2 + 1)
+                fd = (ra.evaluate_misreports(mech, batch, bidder, rows, valuation_row=values),
+                      fd_gradient_rows(mech, batch, bidder, rows, valuation_row=values))
+                assert all(np.array_equal(a, b) for a, b in zip(one, fd))
 
 
 class TestNeuralSpec:
@@ -248,6 +277,19 @@ class TestNeuralSpec:
             weights_pay=spec.weights_pay, bias_pay=spec.bias_pay)
         with pytest.raises(ra.MechanismLoadError, match="weights_in"):
             ra.load_neural_mechanism(bad)
+        # the same and untyped failures, read from a spec's JSON form
+        data = ra.mechanisms.spec_to_dict(spec)
+        cases = [
+            ({**data, "weights_in": [row[:-1] for row in data["weights_in"]]}, "weights_in"),
+            ({**data, "hidden_width": "x"}, "malformed"),
+            ({**data, "bias_in": ["a"] * len(data["bias_in"])}, "malformed"),  # non-numeric
+            ({**data, "weights_pay": [data["weights_pay"][0][:1], *data["weights_pay"][1:]]},
+             "malformed"),  # ragged
+            ([data], "JSON object"),
+        ]
+        for bad, match in cases:
+            with pytest.raises(ra.MechanismLoadError, match=match):
+                ra.mechanisms.spec_from_dict(bad)
 
     def test_unknown_format_version_rejected(self, setting_2x2, tmp_path):
         spec = ra.generate_neural_spec(setting_2x2, 16, 42)

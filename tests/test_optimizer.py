@@ -72,13 +72,18 @@ class TestPgaSingle:
     def test_eval_accounting_analytic_vs_fd(self, setting_2x2, neural_2x2):
         profile = uniform_profile(setting_2x2, 0, 7)
         start = np.array([0.5, 0.5])
-        # analytic: one combined pass per visited iterate
+        # analytic: one combined pass per step, plus the last iterate's utility
         _, _, evals = ra.pga_single(neural_2x2, profile, 0, start, gamma=0.1, big_r=10)
         assert evals == 10 + 1
-        # finite differences: 2m probes plus one utility per step, plus the start
+        # finite differences: 2m probes plus one utility per step, plus the last iterate
         mech = ra.SecondPriceAuction(setting_2x2)
         _, _, evals = ra.pga_single(mech, profile, 0, start, gamma=0.1, big_r=10)
         assert evals == 1 + 10 * (2 * 2 + 1)
+        # no step: the start's utility alone
+        for subject in (neural_2x2, mech):
+            best_bid, best_u, evals = ra.pga_single(subject, profile, 0, start, gamma=0.1, big_r=0)
+            assert evals == 1 and np.array_equal(best_bid, start)
+            assert best_u == ra.evaluate_misreports(subject, profile, 0, start[None, :])[0]
 
 
     @pytest.mark.parametrize("bidder", [-1, 2])
@@ -141,8 +146,6 @@ class TestRandomRestartPga:
 
 class BrokenGradientMechanism(ra.Mechanism):
     """Analytic gradient turns NaN above a bid threshold; utility is benign."""
-
-    has_analytic_gradient = True
 
     def _run_batch(self, batch):
         B, n, m = batch.shape
