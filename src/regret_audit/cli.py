@@ -7,10 +7,12 @@ CPU; unset = serial).
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import click
 
 from .errors import AuditError, BudgetExceededError, ReportFormatError
-from .estimators import GRID_STYLES, GridSpec
+from .estimators import DEFAULT_EVAL_BUDGET, GRID_STYLES, METHOD_PGA, GridSpec
 from .harness import (
     RUN_METHODS,
     AuditRunConfig,
@@ -69,87 +71,85 @@ def _build_distribution(dist, x_contexts, y_contexts, std, bidders, items, seed)
     return ValuationDistribution(kind=kind, x_contexts=x, y_contexts=y, std=std)
 
 
-def _build_config(mechanism, bidders, items, dist, x_contexts, y_contexts, std,
-                  grid_q, grid_style, guided_grid_q, methods, preset, gamma,
-                  big_l, big_r, k, sigma_opt, sigma_truth, samples, seed, out,
-                  max_grid_evals) -> AuditRunConfig:
-    if bidders is None or items is None:
-        raise _CliError("--bidders and --items are required", EXIT_INVALID_CONFIG)
-    setting = AuctionSetting(bidders, items)
-    if preset:
-        pga_base = PGA_PRESETS[preset]
-        port_base = PORTFOLIO_PRESETS.get(preset, PortfolioConfig())
-    else:
-        pga_base = PgaConfig(gamma=0.1, big_l=50, big_r=200)
-        port_base = PortfolioConfig()
-    pga = PgaConfig(
-        gamma=gamma if gamma is not None else pga_base.gamma,
-        big_l=big_l if big_l is not None else pga_base.big_l,
-        big_r=big_r if big_r is not None else pga_base.big_r,
-    )
-    portfolio = PortfolioConfig(
-        k=k if k is not None else port_base.k,
-        sigma_opt=sigma_opt if sigma_opt is not None else port_base.sigma_opt,
-        sigma_truth=sigma_truth if sigma_truth is not None else port_base.sigma_truth,
-        refine=PgaConfig(gamma=pga.gamma, big_l=1, big_r=pga.big_r),
-    )
+def _override(base, **flags):
+    """``base`` with every flag the user gave (not None) replacing its field."""
+    return replace(base, **{name: value for name, value in flags.items() if value is not None})
+
+
+def _build_config(mechanism, bidders, items, dist, x_contexts, y_contexts, std, preset, gamma,
+                  samples, seed, big_l=None, big_r=None, k=None, sigma_opt=None,
+                  sigma_truth=None, **fields) -> AuditRunConfig:
+    """The config of both commands' flags; ``fields`` are the rest, set by the command."""
+    pga = _override(PGA_PRESETS.get(preset, PgaConfig(gamma=0.1, big_l=50, big_r=200)),
+                    gamma=gamma, big_l=big_l, big_r=big_r)
+    portfolio = _override(PORTFOLIO_PRESETS.get(preset, PortfolioConfig()),
+                          k=k, sigma_opt=sigma_opt, sigma_truth=sigma_truth,
+                          refine=PgaConfig(gamma=pga.gamma, big_l=1, big_r=pga.big_r))
     return AuditRunConfig(
-        setting=setting,
+        setting=AuctionSetting(bidders, items),
         mechanism=mechanism,
         distribution=_build_distribution(dist, x_contexts, y_contexts, std,
                                          bidders, items, seed),
-        grid=GridSpec(grid_q, grid_style),
-        guided_grid=None if guided_grid_q is None else GridSpec(guided_grid_q, grid_style),
-        methods=tuple(tok.strip() for tok in methods.split(",") if tok.strip()),
         pga=pga,
         portfolio=portfolio,
         samples=samples,
         seed=seed,
-        out=out,
-        max_grid_evals=max_grid_evals,
+        **fields,
     )
 
 
-def _shared_options(fn):
-    options = [
-        click.option("--mechanism", required=True,
-                     help="Builtin name (second_price, first_price) or mechanism spec JSON path."),
-        click.option("--bidders", type=int, default=None, help="Number of bidders."),
-        click.option("--items", type=int, default=None, help="Number of items."),
-        click.option("--dist", type=click.Choice(sorted(_DIST_CHOICES)), default="uniform01",
-                     show_default=True, help="Valuation distribution."),
-        click.option("--x-contexts", default=None,
-                     help="Comma-separated bidder contexts in 1..10 (ctxnormal only)."),
-        click.option("--y-contexts", default=None,
-                     help="Comma-separated item contexts in 1..10 (ctxnormal only)."),
-        click.option("--std", type=float, default=0.05, show_default=True,
-                     help="Std of the contextual truncated normal."),
-        click.option("--grid-q", type=int, default=1000, show_default=True,
-                     help="Grid subdivisions of [0, 1]."),
-        click.option("--grid-style", type=click.Choice(GRID_STYLES), default="inclusive",
-                     show_default=True),
-        click.option("--guided-grid-q", type=int, default=None,
-                     help="Separate grid precision for the guided grid phase."),
-        click.option("--preset", type=click.Choice(sorted(PGA_PRESETS)), default=None,
-                     help="Named optimizer preset; explicit flags override."),
-        click.option("--gamma", type=float, default=None, help="Ascent step size."),
-        click.option("--L", "big_l", type=int, default=None, help="Random restarts."),
-        click.option("--R", "big_r", type=int, default=None, help="Ascent steps per candidate."),
-        click.option("--k", type=int, default=None, help="Randomized portfolio group size."),
-        click.option("--sigma-opt", type=float, default=None,
-                     help="Noise scale around the combinatorial candidate."),
-        click.option("--sigma-truth", type=float, default=None,
-                     help="Noise scale around the truthful row."),
-        click.option("--samples", type=int, default=1000, show_default=True),
-        click.option("--seed", type=int, default=0, show_default=True),
-        click.option("--max-grid-evals", type=int, default=10**8, show_default=True,
-                     help="Budget for one exhaustive scan."),
-        click.option("--out", required=True, type=click.Path(dir_okay=False),
-                     help="Output path."),
-    ]
-    for opt in reversed(options):
-        fn = opt(fn)
-    return fn
+def _options(*options):
+    """Apply click options so that --help lists them in the given order."""
+    def apply(fn):
+        for opt in reversed(options):
+            fn = opt(fn)
+        return fn
+    return apply
+
+
+#: the options both commands read
+_SHARED_OPTIONS = (
+    click.option("--mechanism", required=True,
+                 help="Builtin name (second_price, first_price) or mechanism spec JSON path."),
+    click.option("--bidders", type=int, required=True, help="Number of bidders."),
+    click.option("--items", type=int, required=True, help="Number of items."),
+    click.option("--dist", type=click.Choice(sorted(_DIST_CHOICES)), default="uniform01",
+                 show_default=True, help="Valuation distribution."),
+    click.option("--x-contexts", default=None,
+                 help="Comma-separated bidder contexts in 1..10 (ctxnormal only)."),
+    click.option("--y-contexts", default=None,
+                 help="Comma-separated item contexts in 1..10 (ctxnormal only)."),
+    click.option("--std", type=float, default=0.05, show_default=True,
+                 help="Std of the contextual truncated normal."),
+    click.option("--preset", type=click.Choice(sorted(PGA_PRESETS)), default=None,
+                 help="Named optimizer preset; explicit flags override."),
+    click.option("--gamma", type=float, default=None, help="Ascent step size."),
+    click.option("--samples", type=int, default=1000, show_default=True),
+    click.option("--seed", type=int, default=0, show_default=True),
+    click.option("--out", required=True, type=click.Path(dir_okay=False),
+                 help="Output path."),
+)
+
+#: the options only eval reads: sweep runs pga alone, with L and R from its lists
+_EVAL_OPTIONS = (
+    click.option("--grid-q", type=int, default=1000, show_default=True,
+                 help="Grid subdivisions of [0, 1]."),
+    click.option("--grid-style", type=click.Choice(GRID_STYLES), default="inclusive",
+                 show_default=True),
+    click.option("--guided-grid-q", type=int, default=None,
+                 help="Separate grid precision for the guided grid phase."),
+    click.option("--L", "big_l", type=int, default=None, help="Random restarts."),
+    click.option("--R", "big_r", type=int, default=None, help="Ascent steps per candidate."),
+    click.option("--k", type=int, default=None, help="Randomized portfolio group size."),
+    click.option("--sigma-opt", type=float, default=None,
+                 help="Noise scale around the combinatorial candidate."),
+    click.option("--sigma-truth", type=float, default=None,
+                 help="Noise scale around the truthful row."),
+    click.option("--max-grid-evals", type=int, default=DEFAULT_EVAL_BUDGET, show_default=True,
+                 help="Budget for one exhaustive scan."),
+    click.option("--methods", default="lower_bound,item_wise,guided", show_default=True,
+                 help=f"Comma-separated subset of {', '.join(RUN_METHODS)}."),
+)
 
 
 @click.group()
@@ -158,13 +158,15 @@ def cli():
 
 
 @cli.command("eval")
-@_shared_options
-@click.option("--methods", default="lower_bound,item_wise,guided", show_default=True,
-              help=f"Comma-separated subset of {', '.join(RUN_METHODS)}.")
-def eval_cmd(methods, out, **kwargs):
+@_options(*_SHARED_OPTIONS, *_EVAL_OPTIONS)
+def eval_cmd(grid_q, grid_style, guided_grid_q, methods, out, **kwargs):
     """Run a regret audit and write a JSON report."""
     def body():
-        cfg = _build_config(methods=methods, out=out, **kwargs)
+        cfg = _build_config(
+            grid=GridSpec(grid_q, grid_style),
+            guided_grid=None if guided_grid_q is None else GridSpec(guided_grid_q, grid_style),
+            methods=tuple(tok.strip() for tok in methods.split(",") if tok.strip()),
+            out=out, **kwargs)
         report = run_audit(cfg)
         for method, mean in report.method_means.items():
             click.echo(f"{method}: mean regret {mean:.6g}")
@@ -173,13 +175,13 @@ def eval_cmd(methods, out, **kwargs):
 
 
 @cli.command("sweep")
-@_shared_options
-@click.option("--l-values", required=True, help="Comma-separated restart counts.")
-@click.option("--r-values", required=True, help="Comma-separated step counts.")
+@_options(*_SHARED_OPTIONS,
+          click.option("--l-values", required=True, help="Comma-separated restart counts."),
+          click.option("--r-values", required=True, help="Comma-separated step counts."))
 def sweep_cmd(l_values, r_values, out, **kwargs):
     """Sweep (L, R) optimizer settings over paired samples; write CSV."""
     def body():
-        cfg = _build_config(methods="pga", out=None, **kwargs)
+        cfg = _build_config(grid=GridSpec(1), methods=(METHOD_PGA,), **kwargs)  # pga reads no grid
         rows = run_sweep(cfg, _parse_int_csv(l_values, "--l-values"),
                          _parse_int_csv(r_values, "--r-values"), out=out)
         for row in rows:

@@ -32,6 +32,10 @@ class BudgetExceededError(AuditError):
             f"exceeding the budget of {budget}"
         )
 
+    def __reduce__(self):
+        # errors cross the process pool pickled; the default rebuilds from args
+        return type(self), (self.required, self.budget)
+
 
 class ReportFormatError(AuditError):
     """A persisted report is malformed or has an unsupported format version."""

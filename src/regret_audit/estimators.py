@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import BudgetExceededError, InvalidInputError
-from .mechanisms import Mechanism, as_profile, check_bidder, evaluate_misreports
+from .mechanisms import Mechanism, as_profile, check_bidder, check_int, evaluate_misreports
 
 DEFAULT_EVAL_BUDGET = 10**8
 _SCAN_CHUNK = 8192
@@ -59,8 +59,7 @@ class GridSpec:
     style: str = GRID_STYLE_INCLUSIVE
 
     def __post_init__(self):
-        if self.q < 1:
-            raise InvalidInputError(f"grid q must be >= 1, got {self.q}")
+        check_int(self.q, "grid q", 1)
         if self.style not in GRID_STYLES:
             raise InvalidInputError(f"unknown grid style {self.style!r}")
 
@@ -85,6 +84,10 @@ class RegretEstimate:
     flagged: bool = False
 
     def __post_init__(self):
+        for name in ("bidder", "mech_evals", "gradient_steps"):
+            check_int(getattr(self, name), name, 0)
+        if not isinstance(self.flagged, bool):
+            raise InvalidInputError(f"flagged must be a bool, got {self.flagged!r}")
         if not self.value >= 0.0:
             raise InvalidInputError(f"regret estimate must be >= 0, got {self.value}")
 

@@ -45,6 +45,7 @@ from .mechanisms import (
     AuctionSetting,
     Mechanism,
     NeuralMechanismSpec,
+    check_int,
     load_neural_mechanism,
     read_neural_spec,
 )
@@ -152,8 +153,7 @@ class AuditRunConfig:
     max_grid_evals: int = DEFAULT_EVAL_BUDGET
 
     def __post_init__(self):
-        if self.samples < 1:
-            raise InvalidConfigError(f"samples must be >= 1, got {self.samples}")
+        check_int(self.samples, "samples", 1, InvalidConfigError)
         if not self.methods:
             raise InvalidConfigError("methods must be nonempty")
         self.methods = _canonical_methods(self.methods, RUN_METHODS, InvalidConfigError)
@@ -190,7 +190,7 @@ def config_echo(cfg: AuditRunConfig) -> dict:
     mech = cfg.mechanism
     mech_desc = mech if isinstance(mech, str) else f"neural:{mech.setting.n}x{mech.setting.m}"
     dist = cfg.distribution
-    echo = {
+    return {
         "setting": {"n": cfg.setting.n, "m": cfg.setting.m},
         "mechanism": mech_desc,
         "distribution": {
@@ -215,7 +215,6 @@ def config_echo(cfg: AuditRunConfig) -> dict:
         "seed": cfg.seed,
         "max_grid_evals": cfg.max_grid_evals,
     }
-    return echo
 
 
 def _chunk_estimates(cells: Sequence[_Cell], methods: tuple) -> List[List[RegretEstimate]]:
@@ -251,22 +250,22 @@ def _chunk_estimates(cells: Sequence[_Cell], methods: tuple) -> List[List[Regret
 
 
 def audit_all_bidders(mech: Mechanism, profile, grid: GridSpec,
-                      methods: Sequence[str],
-                      max_evals: int = DEFAULT_EVAL_BUDGET) -> List[RegretEstimate]:
+                      methods: Sequence[str]) -> List[RegretEstimate]:
     """Run the requested grid estimators for every bidder.
 
     Results are ordered by (bidder, canonical method order, item). An empty
     method set yields an empty list.
     """
     methods = _canonical_methods(methods, GRID_METHODS, InvalidInputError)
-    cells = [_Cell(mech, profile, bidder, grid, grid, max_evals)
+    cells = [_Cell(mech, profile, bidder, grid, grid, DEFAULT_EVAL_BUDGET)
              for bidder in range(mech.setting.n)]
     return [est for estimates in _chunk_estimates(cells, methods) for est in estimates]
 
 
-def _chunk_records(mech: Mechanism, cfg: AuditRunConfig,
-                   samples: Sequence[int]) -> List[AuditRecord]:
-    """The records of a chunk of samples, in (sample, bidder, method) order."""
+def _chunk_records(cfg: AuditRunConfig, samples: Sequence[int]) -> List[AuditRecord]:
+    """The records of a chunk of samples, in (sample, bidder, method) order:
+    the one task of an audit, run once serially or once per pool worker."""
+    mech = resolve_mechanism(cfg.mechanism, cfg.setting)
     cells, cell_samples = [], []
     for sample in samples:
         profile = sample_valuations(cfg.distribution, cfg.setting, sample, cfg.seed)
@@ -278,18 +277,6 @@ def _chunk_records(mech: Mechanism, cfg: AuditRunConfig,
     return [AuditRecord(sample=sample, estimate=est)
             for sample, estimates in zip(cell_samples, _chunk_estimates(cells, cfg.methods))
             for est in estimates]
-
-
-_WORKER_STATE = {}
-
-
-def _init_worker(cfg: AuditRunConfig) -> None:
-    _WORKER_STATE["cfg"] = cfg
-    _WORKER_STATE["mech"] = resolve_mechanism(cfg.mechanism, cfg.setting)
-
-
-def _run_chunk_task(samples: Sequence[int]) -> List[AuditRecord]:
-    return _chunk_records(_WORKER_STATE["mech"], _WORKER_STATE["cfg"], samples)
 
 
 def resolve_workers(workers: Optional[int] = None) -> int:
@@ -320,17 +307,15 @@ def run_audit(cfg: AuditRunConfig, workers: Optional[int] = None) -> AuditReport
     """
     t0 = time.perf_counter()
     workers = resolve_workers(workers)
-    mech = resolve_mechanism(cfg.mechanism, cfg.setting)
 
     # one contiguous chunk of samples per worker; a serial run is one chunk
     chunks = [chunk.tolist() for chunk in np.array_split(np.arange(cfg.samples), workers)
               if chunk.size]
     if len(chunks) == 1:
-        per_chunk = [_chunk_records(mech, cfg, chunks[0])]
+        per_chunk = [_chunk_records(cfg, chunks[0])]
     else:
-        with ProcessPoolExecutor(max_workers=len(chunks), initializer=_init_worker,
-                                 initargs=(cfg,)) as pool:
-            per_chunk = list(pool.map(_run_chunk_task, chunks))
+        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+            per_chunk = list(pool.map(_chunk_records, [cfg] * len(chunks), chunks))
 
     records = [rec for chunk_recs in per_chunk for rec in chunk_recs]
     means = compute_method_means(records, cfg.samples, cfg.methods)
@@ -350,7 +335,7 @@ def run_audit(cfg: AuditRunConfig, workers: Optional[int] = None) -> AuditReport
 
 
 def run_sweep(cfg: AuditRunConfig, l_values: Sequence[int], r_values: Sequence[int],
-              out: Optional[str] = None, workers: Optional[int] = None) -> List[dict]:
+              out: Optional[str] = None) -> List[dict]:
     """One pga audit per (L, R) pair over the same sample seeds.
 
     Sharing the run seed pairs the samples across cells, so regret is exactly
@@ -363,11 +348,11 @@ def run_sweep(cfg: AuditRunConfig, l_values: Sequence[int], r_values: Sequence[i
     for big_l in l_values:
         for big_r in r_values:
             cell = replace(cfg, methods=(METHOD_PGA,), out=None,
-                           pga=replace(cfg.pga, big_l=int(big_l), big_r=int(big_r)))
-            report = run_audit(cell, workers=workers)
+                           pga=replace(cfg.pga, big_l=big_l, big_r=big_r))
+            report = run_audit(cell)
             rows.append({
-                "L": int(big_l),
-                "R": int(big_r),
+                "L": big_l,
+                "R": big_r,
                 "mean_regret": report.method_means[METHOD_PGA],
                 "mech_evals": report.total_mech_evals,
                 "gradient_steps": report.total_gradient_steps,

@@ -10,6 +10,7 @@ inputs produce bitwise-identical outputs.
 from __future__ import annotations
 
 import json
+import numbers
 import threading
 from dataclasses import dataclass
 from typing import Tuple
@@ -32,8 +33,20 @@ class AuctionSetting:
     m: int
 
     def __post_init__(self):
-        if self.n < 1 or self.m < 1:
-            raise InvalidInputError(f"need n >= 1 and m >= 1, got n={self.n}, m={self.m}")
+        check_int(self.n, "n", 1)
+        check_int(self.m, "m", 1)
+
+
+def check_int(value, what: str, minimum: int, error=InvalidInputError) -> None:
+    """Raise ``error`` unless ``value`` is an integer (no float, no bool) >= ``minimum``."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < minimum:
+        raise error(f"{what} must be an integer >= {minimum}, got {value!r}")
+
+
+def _check_values(arr: np.ndarray, what: str) -> None:
+    """Raise InvalidInputError unless every entry is in [0, 1]; NaN fails both tests."""
+    if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):
+        raise InvalidInputError(f"{what} must be finite and lie in [0, 1]")
 
 
 def as_profile(values, setting: AuctionSetting) -> np.ndarray:
@@ -43,10 +56,7 @@ def as_profile(values, setting: AuctionSetting) -> np.ndarray:
         raise InvalidInputError(
             f"profile shape {arr.shape} does not match setting ({setting.n}, {setting.m})"
         )
-    if not np.all(np.isfinite(arr)):
-        raise InvalidInputError("profile entries must be finite")
-    if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
-        raise InvalidInputError("profile entries must lie in [0, 1]")
+    _check_values(arr, "profile entries")
     return arr
 
 
@@ -65,13 +75,13 @@ class Mechanism:
     workers at once; the evaluation counter is the only mutable state and is
     incremented under a lock, by exactly one per evaluated profile.
 
-    A subclass implements ``_run_batch``, and may override
-    ``utility_and_gradient_many`` with an analytic gradient, so that each
-    profile's result is bitwise independent of the rest of its batch. Audits
-    group the rows of many (sample, bidder) searches into one call, and which
-    rows share a call depends on the worker count; only row independence
-    makes reports equal for every worker count and equal to the standalone
-    estimator functions.
+    A subclass implements ``_run_batch``, and may override ``_gradient_batch``
+    with an analytic gradient, so that each profile's result is bitwise
+    independent of the rest of its batch. Audits group the rows of many
+    (sample, bidder) searches into one call, and which rows share a call
+    depends on the worker count; only row independence makes reports equal
+    for every worker count and equal to the standalone estimator functions.
+    Both hooks receive checked arguments.
     """
 
     def __init__(self, setting: AuctionSetting):
@@ -95,36 +105,35 @@ class Mechanism:
             raise InvalidInputError(
                 f"bid batch shape {batch.shape} does not match (B, {n}, {m})"
             )
-        if validate and batch.size:
-            if not np.all(np.isfinite(batch)):
-                raise InvalidInputError("bids must be finite")
-            if batch.min() < 0.0 or batch.max() > 1.0:
-                raise InvalidInputError("bids must lie in [0, 1]")
+        if validate:
+            _check_values(batch, "bids")
         return batch
 
-    def _check_gradient_args(self, batch, bidder, valuation_row, validate: bool):
-        """Every ``utility_and_gradient_many``'s checks; returns (batch, valuations)."""
+    def utility_and_gradient_many(self, batch, bidder, valuation_row, validate: bool = True):
+        """Utilities (B,) and their gradients (B, m) w.r.t. each row's bidder's
+        own bid row; ``bidder`` is an int or one per row, ``valuation_row`` an
+        (m,) row or one per row. Checks the arguments and calls
+        ``_gradient_batch``; ``validate=False`` skips only the value checks."""
         batch = self._check_batch(batch, validate)
         check_bidder(self.setting, bidder)
         B, m = batch.shape[0], self.setting.m
         v = np.asarray(valuation_row, dtype=np.float64)
         if v.shape not in ((m,), (B, m)):
             raise InvalidInputError(f"valuation row shape {v.shape} != ({m},) or ({B}, {m})")
-        return batch, v
+        if validate:
+            _check_values(v, "valuations")
+        return self._gradient_batch(batch, bidder, v)
 
-    def utility_and_gradient_many(self, batch, bidder, valuation_row, validate: bool = True):
-        """Utilities (B,) and their gradients (B, m) w.r.t. each row's bidder's
-        own bid row; ``bidder`` is an int or one per row, ``valuation_row`` an
-        (m,) row or one per row. This default takes central finite differences,
-        2m+1 evaluations per profile; an analytic gradient overrides it."""
-        batch, v = self._check_gradient_args(batch, bidder, valuation_row, validate)
+    def _gradient_batch(self, batch: np.ndarray, bidder, v: np.ndarray):
+        """Central finite differences, 2m+1 evaluations per profile; an
+        analytic gradient overrides this hook and ``_charge``s its passes."""
         rows = batch[_own(batch.shape[0], bidder)]
         return (evaluate_misreports(self, batch, bidder, rows, valuation_row=v),
                 fd_gradient_rows(self, batch, bidder, rows, valuation_row=v))
 
-    def run(self, bids, validate: bool = True) -> Tuple[np.ndarray, np.ndarray]:
+    def run(self, bids) -> Tuple[np.ndarray, np.ndarray]:
         """Evaluate one bid profile, returning (allocation, payments)."""
-        alloc, pay = self.run_many(np.asarray(bids, dtype=np.float64)[None, ...], validate=validate)
+        alloc, pay = self.run_many(np.asarray(bids, dtype=np.float64)[None, ...])
         return alloc[0], pay[0]
 
     def run_many(self, batch, validate: bool = True) -> Tuple[np.ndarray, np.ndarray]:
@@ -212,6 +221,9 @@ class NeuralMechanismSpec:
     weights_pay: np.ndarray
     bias_pay: np.ndarray
 
+    def __post_init__(self):
+        check_int(self.hidden_width, "hidden_width", 1)
+
     def __eq__(self, other):
         if not isinstance(other, NeuralMechanismSpec):
             return NotImplemented
@@ -238,8 +250,6 @@ _SPEC_ARRAY_FIELDS = (
 def validate_neural_spec(spec: NeuralMechanismSpec) -> None:
     """Raise MechanismLoadError naming the first offending dimension."""
     n, m, h = spec.setting.n, spec.setting.m, spec.hidden_width
-    if h < 1:
-        raise MechanismLoadError(f"hidden_width must be >= 1, got {h}")
     expected = {
         "weights_in": (n * m, h),
         "bias_in": (h,),
@@ -265,8 +275,7 @@ def generate_neural_spec(setting: AuctionSetting, hidden_width: int, seed: int) 
     The same seed always yields a bitwise-identical spec; draw order is
     W_in, b_in, W_alloc, b_alloc, W_pay, b_pay.
     """
-    if hidden_width < 1:
-        raise InvalidInputError(f"hidden_width must be >= 1, got {hidden_width}")
+    check_int(hidden_width, "hidden_width", 1)
     g = rng.spawn_generator(seed, rng.STREAM_WEIGHTS)
     n, m, h = setting.n, setting.m, hidden_width
     return NeuralMechanismSpec(
@@ -292,18 +301,11 @@ def spec_to_dict(spec: NeuralMechanismSpec) -> dict:
 
 
 def spec_from_dict(data: dict) -> NeuralMechanismSpec:
-    if not isinstance(data, dict):
-        raise MechanismLoadError(f"mechanism spec must be a JSON object, got {type(data).__name__}")
-    version = data.get("format_version")
-    if version != SPEC_FORMAT_VERSION:
-        raise MechanismLoadError(
-            f"unsupported mechanism spec format_version {version!r}, expected {SPEC_FORMAT_VERSION}"
-        )
+    check_format(data, "mechanism spec", SPEC_FORMAT_VERSION, MechanismLoadError)
     try:
-        setting = AuctionSetting(int(data["setting"]["n"]), int(data["setting"]["m"]))
         spec = NeuralMechanismSpec(
-            setting=setting,
-            hidden_width=int(data["hidden_width"]),
+            setting=AuctionSetting(data["setting"]["n"], data["setting"]["m"]),
+            hidden_width=data["hidden_width"],
             **{f: np.asarray(data[f], dtype=np.float64) for f in _SPEC_ARRAY_FIELDS},
         )
     except (KeyError, TypeError, ValueError) as exc:
@@ -312,22 +314,40 @@ def spec_from_dict(data: dict) -> NeuralMechanismSpec:
     return spec
 
 
-def write_neural_spec(spec: NeuralMechanismSpec, path) -> None:
-    validate_neural_spec(spec)
+def write_json(data, path) -> None:
+    """Write ``data`` as indented JSON with a trailing newline."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(spec_to_dict(spec), fh, indent=2)
+        json.dump(data, fh, indent=2)
         fh.write("\n")
 
 
-def read_neural_spec(path) -> NeuralMechanismSpec:
+def read_json(path, what: str, error):
+    """The JSON value stored at ``path``, else ``error`` naming ``what``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
-        raise MechanismLoadError(f"cannot read mechanism spec {path}: {exc}") from exc
+        raise error(f"cannot read {what} {path}: {exc}") from exc
     except ValueError as exc:  # undecodable bytes or invalid JSON
-        raise MechanismLoadError(f"mechanism spec {path} is not valid JSON: {exc}") from exc
-    return spec_from_dict(data)
+        raise error(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
+def check_format(data, what: str, version: int, error) -> None:
+    """Raise ``error`` unless ``data`` is a JSON object of format ``version``."""
+    if not isinstance(data, dict):
+        raise error(f"{what} must be a JSON object, got {type(data).__name__}")
+    if type(data.get("format_version")) is not int or data["format_version"] != version:
+        raise error(f"unsupported {what} format_version {data.get('format_version')!r}, "
+                    f"expected {version}")
+
+
+def write_neural_spec(spec: NeuralMechanismSpec, path) -> None:
+    validate_neural_spec(spec)
+    write_json(spec_to_dict(spec), path)
+
+
+def read_neural_spec(path) -> NeuralMechanismSpec:
+    return spec_from_dict(read_json(path, "mechanism spec", MechanismLoadError))
 
 
 class NeuralMechanism(Mechanism):
@@ -366,11 +386,9 @@ class NeuralMechanism(Mechanism):
         _, _, _, _, alloc, pay = self._forward(batch)
         return alloc, pay
 
-    def utility_and_gradient_many(self, batch, bidder, valuation_row, validate: bool = True):
-        """The analytic form of ``Mechanism.utility_and_gradient_many``: one
-        combined forward/backward pass per profile, charged as a single
-        evaluation each."""
-        batch, v = self._check_gradient_args(batch, bidder, valuation_row, validate)
+    def _gradient_batch(self, batch, bidder, v):
+        """The analytic gradient: one combined forward/backward pass per
+        profile, charged as a single evaluation each."""
         B, n, m = batch.shape
 
         h, g_full, sig, reported, alloc, pay = self._forward(batch)
@@ -487,15 +505,14 @@ def utility(mech: Mechanism, valuation_row, bids, bidder: int) -> float:
     v = np.asarray(valuation_row, dtype=np.float64)
     if v.shape != (m,):
         raise InvalidInputError(f"valuation row shape {v.shape} != ({m},)")
-    if v.size and (v.min() < 0.0 or v.max() > 1.0):
-        raise InvalidInputError("valuations must lie in [0, 1]")
+    _check_values(v, "valuations")
     alloc, pay = mech.run(bids)
     return float((alloc[bidder] * v).sum() - pay[bidder])
 
 
 def utility_gradient(mech: Mechanism, valuation_row, bids, bidder: int) -> np.ndarray:
     """Gradient of the bidder's utility w.r.t. its own bid row: analytic where
-    the mechanism overrides ``utility_and_gradient_many``, else central finite
+    the mechanism overrides ``_gradient_batch``, else central finite
     differences with step 1e-5 and boundary clamping."""
     bids = as_profile(bids, mech.setting)
     _, grad = mech.utility_and_gradient_many(bids[None, ...], bidder, valuation_row)

@@ -33,8 +33,10 @@ from .estimators import (
 )
 from .mechanisms import (
     Mechanism,
+    _check_values,
     as_profile,
     check_bidder,
+    check_int,
     evaluate_misreports,
     rows_to_profiles,
     # importable here, where perfbench/tracer.py binds its span
@@ -53,10 +55,8 @@ class PgaConfig:
     def __post_init__(self):
         if not self.gamma > 0:
             raise InvalidInputError(f"gamma must be > 0, got {self.gamma}")
-        if self.big_l < 1 or self.big_r < 1:
-            raise InvalidInputError(
-                f"need big_l >= 1 and big_r >= 1, got L={self.big_l}, R={self.big_r}"
-            )
+        check_int(self.big_l, "big_l", 1)
+        check_int(self.big_r, "big_r", 1)
 
 
 #: evaluation-protocol presets used by the published deep-auction models
@@ -85,8 +85,7 @@ class PortfolioConfig:
     refine: PgaConfig = field(default_factory=lambda: PgaConfig(gamma=0.1, big_l=1, big_r=200))
 
     def __post_init__(self):
-        if self.k < 0:
-            raise InvalidInputError(f"k must be >= 0, got {self.k}")
+        check_int(self.k, "k", 0)
         if self.sigma_opt < 0 or self.sigma_truth < 0:
             raise InvalidInputError("noise scales must be >= 0")
 
@@ -252,6 +251,7 @@ def pga_single(mech: Mechanism, profile, bidder: int, start, gamma: float,
     start = np.asarray(start, dtype=np.float64)
     if start.shape != (mech.setting.m,):
         raise InvalidInputError(f"start shape {start.shape} != ({mech.setting.m},)")
+    _check_values(start, "start")
     evals0 = mech.evaluations
     best_x, best_u, _ = _ascend(mech, profile[None], np.array([bidder]), start[None, :],
                                 gamma, big_r)
@@ -301,8 +301,7 @@ def build_portfolio(profile, bidder: int, item_argmaxes, cfg: PortfolioConfig,
     comb = np.asarray(item_argmaxes, dtype=np.float64)
     if comb.shape != (m,):
         raise InvalidInputError(f"item_argmaxes shape {comb.shape} != ({m},)")
-    if comb.size and (comb.min() < 0.0 or comb.max() > 1.0):
-        raise InvalidInputError("item_argmaxes must lie in [0, 1]")
+    _check_values(comb, "item_argmaxes")
 
     single = np.tile(truthful, (m, 1))
     single[np.arange(m), np.arange(m)] = comb
@@ -333,14 +332,13 @@ def guided_search(mech: Mechanism, profile, bidder: int, grid: GridSpec,
 
 
 def guided_refinement(mech: Mechanism, profile, bidder: int, grid: GridSpec,
-                      cfg: PortfolioConfig, seed: int,
-                      scan: Optional[ItemScan] = None) -> RegretEstimate:
+                      cfg: PortfolioConfig, seed: int) -> RegretEstimate:
     """Item-wise guided gradient refinement.
 
-    Phase 1 is the item scan on the grid (``scan`` when the caller already
-    holds it), yielding the per-item optima and the grid lower bound; phase 2
-    ascends from the portfolio built on those optima. The result is the best
-    gain over the grid scan and every ascent iterate, so it can never fall
-    below the grid lower bound. Evaluation counts include the grid phase.
+    Phase 1 is the item scan on the grid, yielding the per-item optima and
+    the grid lower bound; phase 2 ascends from the portfolio built on those
+    optima. The result is the best gain over the grid scan and every ascent
+    iterate, so it can never fall below the grid lower bound. Evaluation
+    counts include the grid phase.
     """
-    return run_searches(mech, [guided_search(mech, profile, bidder, grid, cfg, seed, scan)])[0]
+    return run_searches(mech, [guided_search(mech, profile, bidder, grid, cfg, seed)])[0]

@@ -8,7 +8,6 @@ deterministic functions of the run configuration.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Dict, List
 
@@ -16,6 +15,7 @@ import numpy as np
 
 from .errors import InvalidConfigError, ReportFormatError
 from .estimators import RegretEstimate
+from .mechanisms import check_format, check_int, read_json, write_json
 
 REPORT_FORMAT_VERSION = 1
 
@@ -26,6 +26,9 @@ class AuditRecord:
 
     sample: int
     estimate: RegretEstimate
+
+    def __post_init__(self):
+        check_int(self.sample, "sample", 0)
 
 
 @dataclass
@@ -45,7 +48,10 @@ class AuditReport:
     total_mech_evals: int
     total_gradient_steps: int
     wall_seconds: float
-    format_version: int = REPORT_FORMAT_VERSION
+
+    def __post_init__(self):
+        for name in ("samples", "total_mech_evals", "total_gradient_steps"):
+            check_int(getattr(self, name), name, 0)
 
 
 def compute_method_means(records: List[AuditRecord], samples: int,
@@ -80,19 +86,19 @@ def _estimate_from_dict(data: dict) -> RegretEstimate:
     misreport = data["best_misreport"]
     return RegretEstimate(
         method=data["method"],
-        bidder=int(data["bidder"]),
+        bidder=data["bidder"],
         value=float(data["value"]),
         best_misreport=None if misreport is None else np.asarray(misreport, dtype=np.float64),
-        mech_evals=int(data["mech_evals"]),
+        mech_evals=data["mech_evals"],
         wall_seconds=float(data["wall_seconds"]),
-        gradient_steps=int(data["gradient_steps"]),
-        flagged=bool(data["flagged"]),
+        gradient_steps=data["gradient_steps"],
+        flagged=data["flagged"],
     )
 
 
 def report_to_dict(report: AuditReport) -> dict:
     return {
-        "format_version": report.format_version,
+        "format_version": REPORT_FORMAT_VERSION,
         "config": report.config,
         "samples": report.samples,
         "methods": list(report.methods),
@@ -108,31 +114,24 @@ def report_to_dict(report: AuditReport) -> dict:
 
 
 def report_from_dict(data: dict) -> AuditReport:
-    if not isinstance(data, dict):
-        raise ReportFormatError(f"a report must be a JSON object, got {type(data).__name__}")
-    version = data.get("format_version")
-    if version != REPORT_FORMAT_VERSION:
-        raise ReportFormatError(
-            f"unsupported report format_version {version!r}, expected {REPORT_FORMAT_VERSION}"
-        )
+    check_format(data, "report", REPORT_FORMAT_VERSION, ReportFormatError)
     try:
         records = [
-            AuditRecord(sample=int(rec["sample"]), estimate=_estimate_from_dict(rec))
+            AuditRecord(sample=rec["sample"], estimate=_estimate_from_dict(rec))
             for rec in data["records"]
         ]
         return AuditReport(
             config=data["config"],
-            samples=int(data["samples"]),
+            samples=data["samples"],
             methods=tuple(data["methods"]),
             records=records,
             method_means={k: float(v) for k, v in data["method_means"].items()},
-            total_mech_evals=int(data["total_mech_evals"]),
-            total_gradient_steps=int(data["total_gradient_steps"]),
+            total_mech_evals=data["total_mech_evals"],
+            total_gradient_steps=data["total_gradient_steps"],
             wall_seconds=float(data["wall_seconds"]),
-            format_version=int(version),
         )
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        # ValueError covers a record that RegretEstimate rejects (InvalidInputError)
+        # ValueError covers the fields that the report types reject (InvalidInputError)
         raise ReportFormatError(f"malformed report: {exc}") from exc
 
 
@@ -153,17 +152,8 @@ def validate_report(report: AuditReport) -> None:
 def write_report(report: AuditReport, path) -> None:
     """Persist a report; rejects empty reports before touching the file."""
     validate_report(report)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report_to_dict(report), fh, indent=2)
-        fh.write("\n")
+    write_json(report_to_dict(report), path)
 
 
 def read_report(path) -> AuditReport:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ReportFormatError(f"cannot read report {path}: {exc}") from exc
-    except ValueError as exc:  # undecodable bytes or invalid JSON
-        raise ReportFormatError(f"report {path} is not valid JSON: {exc}") from exc
-    return report_from_dict(data)
+    return report_from_dict(read_json(path, "report", ReportFormatError))

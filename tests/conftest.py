@@ -41,6 +41,26 @@ class NanAboveAuction(ra.PerItemFirstPriceAuction):
         return alloc, pay
 
 
+class ShadedQuadraticMechanism(ra.Mechanism):
+    """A custom mechanism written to the documented contract, ``_run_batch``
+    plus an analytic ``_gradient_batch`` charged one evaluation per profile.
+
+    Bidder i gets 1/n of item j times its bid b_ij and pays b_ij^2 / (4n)
+    for it, so its utility sum_j (v_j b_ij - b_ij^2 / 4) / n peaks at
+    b_ij = min(2 v_j, 1): overbidding gains.
+    """
+
+    def _run_batch(self, batch):
+        n = self.setting.n
+        return batch / n, (batch * batch).sum(axis=2) / (4 * n)
+
+    def _gradient_batch(self, batch, bidder, v):
+        B, n, _ = batch.shape
+        own = batch[np.arange(B), bidder]
+        self._charge(B)
+        return (v * own - own * own / 4).sum(axis=1) / n, (v - own / 2) / n
+
+
 #: the profile of the NaN examples; both bidders' bids sum to 0.7
 NAN_EXAMPLE_PROFILE = np.array([[0.3, 0.4], [0.2, 0.5]])
 

@@ -129,6 +129,22 @@ class TestEval:
         assert result.exit_code == 3
         assert "budget" in result.output
 
+    def test_pooled_errors_keep_exit_codes(self, runner, tmp_path, monkeypatch):
+        # both errors are raised in a pool task and reach the parent pickled
+        monkeypatch.setenv("REGRET_AUDIT_THREADS", "2")
+        out = tmp_path / "report.json"
+        result = runner.invoke(cli, eval_args(
+            out, methods="exhaustive", grid_q=100, max_grid_evals=100))
+        assert result.exit_code == 3, result.output
+        assert "budget of 100" in result.output
+        spec_path = tmp_path / "mech.json"
+        data = ra.mechanisms.spec_to_dict(ra.generate_neural_spec(ra.AuctionSetting(2, 2), 8, 7))
+        spec_path.write_text(json.dumps({**data, "hidden_width": "x"}))
+        result = runner.invoke(cli, eval_args(out, mechanism=str(spec_path)))
+        assert result.exit_code == 2, result.output
+        assert "malformed mechanism spec" in result.output
+        assert not out.exists()
+
     def test_unwritable_output_exits_4(self, runner, tmp_path):
         result = runner.invoke(cli, eval_args(tmp_path / "no_dir" / "report.json"))
         assert result.exit_code == 4
@@ -139,13 +155,24 @@ class TestSweep:
         out = tmp_path / "sweep.csv"
         result = runner.invoke(cli, [
             "sweep", "--mechanism", "second_price", "--bidders", "2", "--items", "1",
-            "--grid-q", "10", "--samples", "2", "--seed", "3",
+            "--samples", "2", "--seed", "3",
             "--l-values", "1,2", "--r-values", "5,10", "--out", str(out),
         ])
         assert result.exit_code == 0, result.output
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "L,R,mean_regret,mech_evals,gradient_steps,wall_seconds"
         assert len(lines) == 5
+
+    def test_flags_sweep_does_not_read_exit_2(self, runner, tmp_path):
+        # sweep runs pga alone with L and R from its lists; it used to accept
+        # and ignore --k and eight more audit flags
+        result = runner.invoke(cli, [
+            "sweep", "--mechanism", "second_price", "--bidders", "2", "--items", "1",
+            "--samples", "1", "--l-values", "1", "--r-values", "5", "--k", "3",
+            "--out", str(tmp_path / "s.csv"),
+        ])
+        assert result.exit_code == 2
+        assert "No such option" in result.output
 
     def test_bad_l_values_exit_2(self, runner, tmp_path):
         result = runner.invoke(cli, [

@@ -57,6 +57,9 @@ class TestGridSpec:
             ra.GridSpec(0)
         with pytest.raises(ra.InvalidInputError):
             ra.GridSpec(10, "weird")
+        # q = 2.5 used to scan the points 0, 0.4, 0.8 and 1.2, outside the bid box
+        with pytest.raises(ra.InvalidInputError, match="must be an integer"):
+            ra.GridSpec(2.5)
 
 
 class TestFirstPriceExamples:

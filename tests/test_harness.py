@@ -13,7 +13,8 @@ from regret_audit import harness, optimizer
 from regret_audit.harness import _Cell, _chunk_estimates, resolve_workers
 from regret_audit.sampling import KIND_CONTEXTUAL
 
-from conftest import NanAboveAuction, NanPaymentAuction, uniform_profile
+from conftest import (NanAboveAuction, NanPaymentAuction, ShadedQuadraticMechanism,
+                      uniform_profile)
 
 
 def small_cfg(**overrides):
@@ -143,8 +144,11 @@ class TestRunAudit:
 
     def test_budget_exceeded_propagates(self):
         cfg = small_cfg(methods=("exhaustive",), grid=ra.GridSpec(100), max_grid_evals=100)
-        with pytest.raises(ra.BudgetExceededError):
-            ra.run_audit(cfg)
+        # from a pool worker the error arrives pickled; it used to break the pool
+        for workers in (1, 2):
+            with pytest.raises(ra.BudgetExceededError) as info:
+                ra.run_audit(cfg, workers=workers)
+            assert (info.value.required, info.value.budget) == (101 ** 2, 100)
 
     def test_guided_grid_override(self):
         fine = ra.run_audit(small_cfg(methods=("guided",), samples=2,
@@ -269,6 +273,26 @@ class TestLockstepAccounting:
             assert (est.value, est.mech_evals, est.gradient_steps, est.flagged) == \
                 (ref.value, ref.mech_evals, ref.gradient_steps, ref.flagged)
             assert np.array_equal(est.best_misreport, ref.best_misreport)
+
+
+class TestGradientHook:
+    def test_custom_hook_drives_both_ascents(self, monkeypatch):
+        # a mechanism that implements only _run_batch and _gradient_batch:
+        # one evaluation per gradient, not finite differences' 2m+1
+        monkeypatch.setitem(ra.mechanisms.BUILTIN_MECHANISMS, "shaded", ShadedQuadraticMechanism)
+        m, q, big_l, big_r, k = 2, 10, 3, 7, 2
+        cfg = small_cfg(mechanism="shaded", methods=("pga", "guided"), samples=2,
+                        grid=ra.GridSpec(q), pga=ra.PgaConfig(0.1, big_l, big_r),
+                        portfolio=ra.PortfolioConfig(k=k, sigma_opt=0.2, sigma_truth=0.2,
+                                                     refine=ra.PgaConfig(0.1, 1, big_r)))
+        report = ra.run_audit(cfg, workers=1)
+        expected = {"pga": 1 + big_l * (big_r + 1),
+                    # the grid phase, then every portfolio candidate's ascent
+                    "guided": m * (q + 2) + 1 + (1 + m + 3 * k) * (big_r + 1)}
+        assert len(report.records) == 2 * 2 * 2
+        for rec in report.records:
+            assert rec.estimate.mech_evals == expected[rec.estimate.method]
+        assert report.method_means["pga"] > 0.0 and report.method_means["guided"] > 0.0
 
 
 class TestLockstepMemory:
@@ -411,9 +435,16 @@ class TestReportIO:
         data = json.loads(path.read_text())
         cases = [
             ({**data, "format_version": 12}, "format_version"),
+            ({**data, "format_version": True}, "format_version"),  # used to equal 1
             ([data], "JSON object"),
             ({**data, "samples": "x"}, "malformed"),
             ({**data, "records": [{**data["records"][0], "value": -1.0}]}, "malformed"),
+            # integers and flags are never coerced: these used to read as 2, 1 and True
+            ({**data, "samples": 2.7}, "malformed.*samples must be an integer"),
+            ({**data, "records": [{**data["records"][0], "bidder": 1.9}]},
+             "malformed.*bidder must be an integer"),
+            ({**data, "records": [{**data["records"][0], "flagged": "false"}]},
+             "malformed.*flagged must be a bool"),
         ]
         for bad, match in cases:
             path.write_text(json.dumps(bad))

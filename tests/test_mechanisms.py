@@ -26,6 +26,10 @@ class TestSetting:
             ra.AuctionSetting(0, 2)
         with pytest.raises(ra.InvalidInputError):
             ra.AuctionSetting(2, 0)
+        # counts are never truncated: 2.5 bidders used to run as 2
+        for n, m in ((2.5, 2), (2, True)):
+            with pytest.raises(ra.InvalidInputError, match="must be an integer"):
+                ra.AuctionSetting(n, m)
 
     def test_profile_validation(self, setting_2x2):
         with pytest.raises(ra.InvalidInputError):
@@ -215,6 +219,17 @@ class TestGradients:
         with pytest.raises(ra.InvalidInputError, match="valuation row shape"):
             ra.utility_gradient(mech, valuation, profile, 0)
 
+    @pytest.mark.parametrize("kind", ["first_price", "neural"])
+    @pytest.mark.parametrize("valuation", [[2.0, -1.0], [np.nan, 0.5]])
+    @pytest.mark.parametrize("function", [ra.utility, ra.utility_gradient])
+    def test_valuations_outside_the_box_rejected(self, setting_2x2, kind, valuation, function):
+        # a NaN valuation used to give a NaN utility, and utility_gradient
+        # took any values
+        mech = GRADIENT_MECHANISMS[kind](setting_2x2)
+        profile = uniform_profile(setting_2x2, 0, 7)
+        with pytest.raises(ra.InvalidInputError, match="valuations must be finite"):
+            function(mech, valuation, profile, 0)
+
     @pytest.mark.parametrize("bidder", [0, 2])
     def test_int_bidder_matches_per_row_bidders(self, bidder):
         # one bidder is selected by a slice, per-row bidders by a gather
@@ -286,6 +301,9 @@ class TestNeuralSpec:
             ({**data, "weights_pay": [data["weights_pay"][0][:1], *data["weights_pay"][1:]]},
              "malformed"),  # ragged
             ([data], "JSON object"),
+            # counts are never truncated: these used to load as width 16, n = 2
+            ({**data, "hidden_width": 16.9}, "malformed.*hidden_width must be an integer"),
+            ({**data, "setting": {"n": 2.5, "m": 2}}, "malformed.*n must be an integer"),
         ]
         for bad, match in cases:
             with pytest.raises(ra.MechanismLoadError, match=match):

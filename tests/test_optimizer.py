@@ -17,6 +17,8 @@ class TestConfigs:
             ra.PgaConfig(gamma=0.1, big_l=0, big_r=1)
         with pytest.raises(ra.InvalidInputError):
             ra.PgaConfig(gamma=0.1, big_l=1, big_r=0)
+        with pytest.raises(ra.InvalidInputError, match="must be an integer"):
+            ra.PgaConfig(gamma=0.1, big_l=2.5, big_r=1)
 
     def test_pga_presets(self):
         assert ra.PGA_PRESETS["regretnet"] == ra.PgaConfig(0.1, 1000, 2000)
@@ -41,6 +43,8 @@ class TestConfigs:
             ra.PortfolioConfig(k=-1)
         with pytest.raises(ra.InvalidInputError):
             ra.PortfolioConfig(sigma_opt=-0.1)
+        with pytest.raises(ra.InvalidInputError, match="must be an integer"):
+            ra.PortfolioConfig(k=1.5)
 
 
 class TestPgaSingle:
@@ -94,6 +98,15 @@ class TestPgaSingle:
         with pytest.raises(ra.InvalidInputError, match="out of range"):
             ra.pga_single(mech, uniform_profile(setting, 0, 7), bidder, [0.5, 0.5],
                           gamma=0.1, big_r=5)
+
+
+    @pytest.mark.parametrize("start", [[np.nan, 0.5], [1.5, 0.5]])
+    def test_start_outside_the_box_rejected(self, start):
+        # a NaN start used to return a NaN utility
+        setting = ra.AuctionSetting(2, 2)
+        mech = ra.PerItemFirstPriceAuction(setting)
+        with pytest.raises(ra.InvalidInputError, match="start must be finite"):
+            ra.pga_single(mech, uniform_profile(setting, 0, 7), 0, start, gamma=0.1, big_r=5)
 
 
 class TestRandomRestartPga:
@@ -153,14 +166,12 @@ class BrokenGradientMechanism(ra.Mechanism):
         pay = np.zeros((B, n))
         return alloc, pay
 
-    def utility_and_gradient_many(self, batch, bidder, valuation_row, validate=True):
-        # bidder: an int or one per row; valuation_row: one row or one per row
-        batch = self._check_batch(batch, validate)
+    def _gradient_batch(self, batch, bidder, v):
+        # bidder: an int or one per row; v: one row or one per row
         B = batch.shape[0]
         self._charge(B)
         n, m = self.setting.n, self.setting.m
-        v = np.broadcast_to(np.asarray(valuation_row, dtype=np.float64), (B, m))
-        u = (v / (n + 1)).sum(axis=1)
+        u = (np.broadcast_to(v, (B, m)) / (n + 1)).sum(axis=1)
         grad = np.ones((B, m))
         grad[batch[np.arange(B), bidder].max(axis=1) > 0.5] = np.nan
         return u, grad
@@ -254,6 +265,13 @@ class TestPortfolio:
         assert port.min() >= 0.0 and port.max() <= 1.0
         # sigma 0.6 pushes many draws outside the box before clamping
         assert (port == 0.0).any() or (port == 1.0).any()
+
+    @pytest.mark.parametrize("optima", [[np.nan, 0.7], [0.1, 1.5]])
+    def test_optima_outside_the_box_rejected(self, optima):
+        # NaN optima used to come back as NaN candidate rows
+        profile = np.array([[0.4, 0.7], [0.2, 0.9]])
+        with pytest.raises(ra.InvalidInputError, match="item_argmaxes must be finite"):
+            ra.build_portfolio(profile, 0, optima, ra.PortfolioConfig(k=0), seed=1)
 
     def test_determinism(self):
         profile = np.array([[0.4, 0.7], [0.2, 0.9]])
