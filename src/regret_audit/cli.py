@@ -146,7 +146,7 @@ _EVAL_OPTIONS = (
     click.option("--sigma-truth", type=float, default=None,
                  help="Noise scale around the truthful row."),
     click.option("--max-grid-evals", type=int, default=DEFAULT_EVAL_BUDGET, show_default=True,
-                 help="Budget for one exhaustive scan."),
+                 help="Budget for one grid scan, exhaustive or item-wise."),
     click.option("--methods", default="lower_bound,item_wise,guided", show_default=True,
                  help=f"Comma-separated subset of {', '.join(RUN_METHODS)}."),
 )

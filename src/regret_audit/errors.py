@@ -28,7 +28,7 @@ class BudgetExceededError(AuditError):
         self.required = required
         self.budget = budget
         super().__init__(
-            f"exhaustive scan needs {required} mechanism evaluations, "
+            f"grid scan needs {required} mechanism evaluations, "
             f"exceeding the budget of {budget}"
         )
 

@@ -135,25 +135,41 @@ class ItemScan:
         return float(self.gains[j]), self.row(j)
 
 
+def _lex_rows(axes, flat: np.ndarray) -> np.ndarray:
+    """Rows number ``flat`` of the lexicographic product of ``axes``."""
+    rows = np.empty((flat.size, len(axes)))
+    if axes:
+        for k, index in enumerate(np.unravel_index(flat, [len(axis) for axis in axes])):
+            rows[:, k] = axes[k][index]
+    return rows
+
+
 def _grid_best(mech: Mechanism, profile: np.ndarray, bidder: int, base: float, axes):
     """Clamped best gain over ``base`` of the misreport rows in the product
     of ``axes`` (one array of points per coordinate), with its row.
 
-    Rows are scanned in lexicographic order, ``_SCAN_CHUNK`` at a time, and
-    the first maximum wins. The truthful row, when not in the product, costs
+    Rows are scanned in lexicographic order, at most ``_SCAN_CHUNK`` at a
+    time, and the first maximum wins. Each chunk tiles whole copies of one
+    trailing block, the product of the last axes that fits in a chunk, under
+    its leading coordinates. The truthful row, when not in the product, costs
     one more evaluation, which pins the gain floor at 0. A non-finite
     utility raises InvalidInputError: a NaN would otherwise drop out of the
     argmax and leave a false 0.0.
     """
     truthful = profile[bidder]
     sizes = tuple(len(axis) for axis in axes)
-    total = math.prod(sizes)
+    lead = len(axes)
+    while lead and math.prod(sizes[lead - 1:]) <= _SCAN_CHUNK:
+        lead -= 1
+    block = _lex_rows(axes[lead:], np.arange(math.prod(sizes[lead:])))
+    per_chunk, total = _SCAN_CHUNK // len(block), math.prod(sizes[:lead])
     best_gain, best_row = -np.inf, None
-    for start in range(0, total, _SCAN_CHUNK):
-        flat = np.arange(start, min(start + _SCAN_CHUNK, total))
-        rows = np.empty((flat.size, len(axes)))
-        for k, index in enumerate(np.unravel_index(flat, sizes)):
-            rows[:, k] = axes[k][index]
+    for start in range(0, total, per_chunk):
+        leading = _lex_rows(axes[:lead], np.arange(start, min(start + per_chunk, total)))
+        rows = np.empty((len(leading), len(block), len(axes)))
+        rows[:, :, :lead] = leading[:, None, :]
+        rows[:, :, lead:] = block
+        rows = rows.reshape(-1, len(axes))
         utils = evaluate_misreports(mech, profile, bidder, rows)
         if not np.isfinite(utils).all():
             raise InvalidInputError(f"mechanism gives bidder {bidder} a non-finite misreport "
@@ -167,15 +183,21 @@ def _grid_best(mech: Mechanism, profile: np.ndarray, bidder: int, base: float, a
     return _clamp_gain(best_gain, best_row, truthful)
 
 
-def _scan_all_items(mech: Mechanism, profile, bidder: int, grid: GridSpec) -> ItemScan:
+def _scan_all_items(mech: Mechanism, profile, bidder: int, grid: GridSpec,
+                    max_evals: int = DEFAULT_EVAL_BUDGET) -> ItemScan:
     """Scan each item's coordinate over the grid, others truthful: one
     truthful evaluation, then q+1 rows per item plus one more per off-grid
-    truthful coordinate, which pins that item's gain floor at 0."""
+    truthful coordinate, which pins that item's gain floor at 0. Raises
+    BudgetExceededError before evaluating anything if that worst case,
+    m(q+2)+1 on the inclusive grid, exceeds ``max_evals``."""
+    pts = grid.points
+    m = mech.setting.m
+    required = m * (pts.size + 1) + 1
+    if required > max_evals:
+        raise BudgetExceededError(required=required, budget=max_evals)
     evals0 = mech.evaluations
     profile, base = _prepare(mech, profile, bidder)
-    pts = grid.points
     truthful = profile[bidder]
-    m = truthful.shape[0]
     gains, coords = np.empty(m), np.empty(m)
     for j in range(m):
         axes = [pts if k == j else truthful[k:k + 1] for k in range(m)]

@@ -238,7 +238,7 @@ def _chunk_estimates(cells: Sequence[_Cell], methods: tuple) -> List[List[Regret
             if grid is not None and grid not in cell_cache:
                 # looked up on the module at call time, like the estimators above
                 cell_cache[grid] = estimators._scan_all_items(
-                    cell.mech, cell.profile, cell.bidder, grid)
+                    cell.mech, cell.profile, cell.bidder, grid, cell.max_evals)
             cell_scans.append(cell_cache.get(grid))
             scan_seconds.append(time.perf_counter() - t0)
         estimates = method.run(cells, cell_scans)

@@ -76,13 +76,22 @@ class Mechanism:
     incremented under a lock, by exactly one per evaluated profile.
 
     A subclass implements ``_run_batch``, and may override ``_gradient_batch``
-    with an analytic gradient, so that each profile's result is bitwise
-    independent of the rest of its batch. Audits group the rows of many
-    (sample, bidder) searches into one call, and which rows share a call
+    with an analytic gradient and ``_misreport_utilities`` with a direct
+    formula for one bidder's utilities, so that each profile's result is
+    bitwise independent of the rest of its batch. Audits group the rows of
+    many (sample, bidder) searches into one call, and which rows share a call
     depends on the worker count; only row independence makes reports equal
     for every worker count and equal to the standalone estimator functions.
-    Both hooks receive checked arguments.
+    The hooks receive checked arguments. A ``_misreport_utilities`` override
+    must be bitwise equal to the default and charge one evaluation per row;
+    a subclass that replaces ``_run_batch`` without replacing it gets the
+    default back, since an override describes its own class's ``_run_batch``.
     """
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "_run_batch" in cls.__dict__ and "_misreport_utilities" not in cls.__dict__:
+            cls._misreport_utilities = Mechanism._misreport_utilities
 
     def __init__(self, setting: AuctionSetting):
         self.setting = setting
@@ -131,6 +140,15 @@ class Mechanism:
         return (evaluate_misreports(self, batch, bidder, rows, valuation_row=v),
                 fd_gradient_rows(self, batch, bidder, rows, valuation_row=v))
 
+    def _misreport_utilities(self, profile: np.ndarray, bidder, rows: np.ndarray,
+                             v: np.ndarray) -> np.ndarray:
+        """Utilities (B,) of finite candidate rows, each for its bidder with
+        valuation ``v`` (one row or one per row), others as in its profile
+        (shapes as in ``rows_to_profiles``); one evaluation per row."""
+        alloc, pay = self.run_many(rows_to_profiles(profile, bidder, rows), validate=False)
+        own = _own(rows.shape[0], bidder)
+        return (alloc[own] * v).sum(axis=1) - pay[own]
+
     def run(self, bids) -> Tuple[np.ndarray, np.ndarray]:
         """Evaluate one bid profile, returning (allocation, payments)."""
         alloc, pay = self.run_many(np.asarray(bids, dtype=np.float64)[None, ...])
@@ -171,6 +189,12 @@ class SecondPriceAuction(Mechanism):
         pay = (alloc * price[:, None, :]).sum(axis=2)
         return alloc, pay
 
+    def _misreport_utilities(self, profile, bidder, rows, v):
+        w, omax = _wins(profile, bidder, rows)
+        self._charge(rows.shape[0])
+        price = omax if self.setting.n > 1 else np.zeros_like(omax)
+        return (w * v).sum(axis=1) - (w * price).sum(axis=1)
+
 
 class PerItemFirstPriceAuction(Mechanism):
     """Per-item first price: the highest bid wins (ties go to the lowest
@@ -184,6 +208,30 @@ class PerItemFirstPriceAuction(Mechanism):
         alloc = (np.arange(n)[None, :, None] == winners[:, None, :]).astype(np.float64)
         pay = (alloc * batch).sum(axis=2)
         return alloc, pay
+
+    def _misreport_utilities(self, profile, bidder, rows, v):
+        w, _ = _wins(profile, bidder, rows)
+        self._charge(rows.shape[0])
+        return (w * v).sum(axis=1) - (w * rows).sum(axis=1)
+
+
+def _wins(profile: np.ndarray, bidder, rows: np.ndarray):
+    """The highest-bid-wins allocation of each row's bidder, as ``(w, omax)``:
+    the (B, m) float64 win mask and the others' per-item maximum bid.
+
+    The others' maximum and its owner, the lowest other bidder holding it,
+    are computed once for one profile and one bidder, else once per row. A
+    row wins item j iff it bids above the maximum, or ties it while its
+    bidder's index is below the owner's: the lowest-index tie-break of
+    ``argmax`` over the full profile. A tie wins exactly when the bid is
+    above the next float below the maximum, so one comparison decides both.
+    """
+    bidder = np.expand_dims(bidder, -1)
+    others = np.where((np.arange(profile.shape[-2]) == bidder)[..., None], -np.inf, profile)
+    omax = others.max(axis=-2)
+    tie_wins = bidder < others.argmax(axis=-2)
+    threshold = np.where(tie_wins, np.nextafter(omax, -np.inf), omax)
+    return (rows > threshold).astype(np.float64), omax
 
 
 BUILTIN_MECHANISMS = {
@@ -431,8 +479,8 @@ def _own(batch_size: int, bidder):
     """Index of each profile's bidder entry in a (B, n, ...) array.
 
     Both forms select the same values. One bidder gets a slice, which reads
-    as a view: the exhaustive scan's large single-bidder batches run about
-    7% faster on first price than with the gather that per-row bidders need.
+    as a view: cheaper on the exhaustive scan's large single-bidder batches
+    than the gather that per-row bidders need.
     """
     if np.ndim(bidder) == 0:
         return slice(None), int(bidder)
@@ -457,15 +505,20 @@ def evaluate_misreports(mech: Mechanism, profile: np.ndarray, bidder,
     its profile (shapes as in ``rows_to_profiles``).
 
     ``valuation_row`` (one row, or one per candidate) defaults to each
-    bidder's truthful row. Costs one mechanism evaluation per candidate row.
+    bidder's truthful row. Costs one mechanism evaluation per candidate row,
+    through the mechanism's ``_misreport_utilities``. A non-finite candidate
+    row raises InvalidInputError.
     """
+    if not np.isfinite(rows).all():
+        i = int(np.argmin(np.isfinite(rows).all(axis=1)))
+        raise InvalidInputError(f"misreport row {rows[i].tolist()} of bidder "
+                                f"{np.broadcast_to(bidder, rows.shape[:1])[i]} is not finite")
     own = _own(rows.shape[0], bidder)
     if valuation_row is None:
         v = np.broadcast_to(profile, (rows.shape[0],) + profile.shape[-2:])[own]
     else:
         v = np.asarray(valuation_row, dtype=np.float64)
-    alloc, pay = mech.run_many(rows_to_profiles(profile, bidder, rows), validate=False)
-    return (alloc[own] * v).sum(axis=1) - pay[own]
+    return mech._misreport_utilities(profile, bidder, rows, v)
 
 
 def fd_gradient_rows(mech: Mechanism, profile: np.ndarray, bidder,

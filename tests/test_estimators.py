@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import regret_audit as ra
+from regret_audit import estimators
 
 from conftest import NAN_EXAMPLE_PROFILE, NanAboveAuction, uniform_profile
 
@@ -184,6 +185,20 @@ class TestEvalAccounting:
         with pytest.raises(ra.BudgetExceededError, match=str(101 ** 4)):
             ra.exhaustive_regret(mech, profile, 0, ra.GridSpec(100), max_evals=10 ** 6)
         assert mech.evaluations == before  # refused before evaluating anything
+
+    @pytest.mark.parametrize("style, points", [("inclusive", 100001), ("open_left", 100000)])
+    def test_item_scan_charged_against_budget(self, style, points):
+        # item scans used to ignore the budget and run all 200,005 evaluations here
+        mech = ra.PerItemFirstPriceAuction(ra.AuctionSetting(2, 2))
+        profile = uniform_profile(mech.setting, 0, 11)
+        grid = ra.GridSpec(100000, style)
+        with pytest.raises(ra.BudgetExceededError) as info:
+            estimators._scan_all_items(mech, profile, 0, grid, max_evals=100)
+        assert (info.value.required, info.value.budget) == (2 * (points + 1) + 1, 100)
+        assert mech.evaluations == 0
+        small = ra.GridSpec(4, style)
+        worst = 2 * (len(small.points) + 1) + 1  # a budget of exactly the worst case runs
+        assert estimators._scan_all_items(mech, profile, 0, small, worst).evaluations <= worst
 
 
 class TestBoundChain:

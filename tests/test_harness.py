@@ -150,6 +150,15 @@ class TestRunAudit:
                 ra.run_audit(cfg, workers=workers)
             assert (info.value.required, info.value.budget) == (101 ** 2, 100)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_item_scan_budget_exceeded(self, workers):
+        # the shared item scan is charged m(q+2)+1 against max_grid_evals
+        cfg = small_cfg(mechanism="first_price", methods=("lower_bound",),
+                        grid=ra.GridSpec(100000), max_grid_evals=100)
+        with pytest.raises(ra.BudgetExceededError) as info:
+            ra.run_audit(cfg, workers=workers)
+        assert (info.value.required, info.value.budget) == (2 * 100002 + 1, 100)
+
     def test_guided_grid_override(self):
         fine = ra.run_audit(small_cfg(methods=("guided",), samples=2,
                                       guided_grid=ra.GridSpec(50)))

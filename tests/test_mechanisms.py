@@ -154,6 +154,20 @@ class TestMechanismProperties:
         with pytest.raises(ra.InvalidInputError):
             ra.utility(neural_2x2, [0.5, 0.5], np.zeros((2, 2)), 5)
 
+    @pytest.mark.parametrize("factory", [ra.SecondPriceAuction, ra.PerItemFirstPriceAuction,
+                                         ConstantMechanism])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_misreport_rows_rejected(self, factory, bad):
+        # second price used to score [nan, .4] and [.3, nan] at -0.4 and 0.1
+        mech = factory(ra.AuctionSetting(3, 2))
+        profile = np.array([[0.3, 0.4], [0.2, 0.5], [0.6, 0.1]])
+        for row in ([bad, 0.4], [0.3, bad]):
+            rows = np.array([[0.3, 0.4], row])
+            for bidder in (1, np.array([0, 1])):
+                with pytest.raises(ra.InvalidInputError, match=rf"\[.*\] of bidder 1 is not"):
+                    ra.evaluate_misreports(mech, profile, bidder, rows)
+        assert mech.evaluations == 0
+
 
 class TestUtility:
     def test_zero_valuation_zero_payment_gives_zero(self):

@@ -1,7 +1,8 @@
 """Properties checked on generated inputs: batch invariance of the lockstep
 ascent, report equality across worker counts, restart nesting, monotone
-grid refinement, the exact bound chain, and chunk invariance of the grid
-scans."""
+grid refinement, the exact bound chain, chunk invariance of the grid scans,
+and the built-in auctions' direct misreport utilities against the default
+path and the closed-form grid regret."""
 
 import json
 from unittest import mock
@@ -135,16 +136,17 @@ def test_bound_chain_is_exact(profile, bidder, seed, q):
 
 
 def _capped_calls(mech, cap):
-    """Record the rows of every run_many call of ``mech``; each must be at most ``cap``."""
+    """Record the rows of every _misreport_utilities call of ``mech``; each
+    must be at most ``cap``."""
     sizes = []
-    run_many = mech.run_many
+    hook = mech._misreport_utilities
 
-    def recording(batch, validate=True):
-        sizes.append(len(batch))
-        assert len(batch) <= cap
-        return run_many(batch, validate)
+    def recording(profile, bidder, rows, v):
+        sizes.append(len(rows))
+        assert len(rows) <= cap
+        return hook(profile, bidder, rows, v)
 
-    mech.run_many = recording
+    mech._misreport_utilities = recording
     return sizes
 
 
@@ -169,3 +171,87 @@ def test_grid_scans_invariant_under_chunk_size(name, profile, bidder, q, chunk):
         sizes, chunked = scans()
     assert chunked == whole
     assert max(sizes) <= chunk
+
+
+BUILTINS = {"first_price": ra.PerItemFirstPriceAuction, "second_price": ra.SecondPriceAuction}
+
+
+@st.composite
+def misreport_calls(draw):
+    """(mechanism, profile, bidder, rows, v) in one of the four argument forms,
+    with every value on a grid of eighths so that bids tie often."""
+    n, m, size = draw(st.integers(1, 4)), draw(st.integers(1, 6)), draw(st.integers(1, 12))
+    per_row_profile, per_row_bidder, per_row_v = (draw(st.booleans()) for _ in range(3))
+
+    def coarse(shape):
+        return np.array(draw(st.lists(st.integers(0, 8), min_size=int(np.prod(shape)),
+                                      max_size=int(np.prod(shape))))).reshape(shape) / 8
+
+    mech = BUILTINS[draw(st.sampled_from(sorted(BUILTINS)))](ra.AuctionSetting(n, m))
+    profile = coarse((size, n, m) if per_row_profile else (n, m))
+    bidder = (np.array(draw(st.lists(st.integers(0, n - 1), min_size=size, max_size=size)))
+              if per_row_bidder else draw(st.integers(0, n - 1)))
+    return mech, profile, bidder, coarse((size, m)), coarse((size, m) if per_row_v else (m,))
+
+
+@settings(max_examples=300, deadline=None)
+@given(call=misreport_calls())
+def test_builtin_misreport_utilities_bitwise_equal_default(call):
+    mech, profile, bidder, rows, v = call
+    fast = mech._misreport_utilities(profile, bidder, rows, v)
+    assert mech.evaluations == len(rows)
+    default = ra.Mechanism._misreport_utilities(mech, profile, bidder, rows, v)
+    assert mech.evaluations == 2 * len(rows)
+    assert fast.tobytes() == default.tobytes()
+
+
+@st.composite
+def grid_cases(draw):
+    """A small setting, a profile on a grid of eighths or anywhere in [0, 1],
+    a bidder and a grid."""
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    value = st.one_of(st.integers(0, 8).map(lambda k: k / 8), st.floats(0.0, 1.0))
+    profile = np.array(draw(st.lists(value, min_size=n * m, max_size=n * m))).reshape(n, m)
+    return ra.AuctionSetting(n, m), profile, draw(st.integers(0, n - 1)), draw(st.integers(1, 8))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=grid_cases())
+def test_exhaustive_regret_matches_closed_form(case):
+    setting, profile, bidder, q = case
+    grid = ra.GridSpec(q)
+    # first price: bid, on each item worth it, the smallest grid point that
+    # wins it; ties go to the lowest bidder index
+    others = np.delete(profile, bidder, axis=0)
+    expected = 0.0
+    for j, v in enumerate(profile[bidder]):
+        wins = [p for p in grid.points
+                if all(p > b or (p == b and bidder < i + (i >= bidder))
+                       for i, b in enumerate(others[:, j]))]
+        if wins:
+            expected += max(0.0, v - wins[0])
+    first = ra.exhaustive_regret(ra.PerItemFirstPriceAuction(setting), profile, bidder, grid)
+    assert first.value == pytest.approx(expected, rel=0.0, abs=1e-12)
+    second = ra.exhaustive_regret(ra.SecondPriceAuction(setting), profile, bidder, grid)
+    assert second.value == 0.0
+
+
+@pytest.mark.parametrize("name, expected", [("first_price", [0.125, 0.25]),
+                                            ("second_price", [0.375, 0.375])])
+def test_run_batch_override_falls_back_to_run_many(name, expected):
+    class Shaded(BUILTINS[name]):
+        """The built-in's allocation with every payment halved."""
+
+        def _run_batch(self, batch):
+            alloc, pay = super()._run_batch(batch)
+            return alloc, pay / 2
+
+    assert Shaded._misreport_utilities is ra.Mechanism._misreport_utilities
+    mech = Shaded(ra.AuctionSetting(2, 2))
+    profile = np.array([[0.5, 0.25], [0.25, 0.5]])
+    rows = np.array([[0.75, 0.0], [0.5, 0.5]])
+    with mock.patch.object(mech, "run_many", wraps=mech.run_many) as run_many:
+        utils = ra.evaluate_misreports(mech, profile, 0, rows)
+    assert run_many.call_count == 1
+    # both rows win item 0; the second ties item 1 and wins it on the lower index
+    assert utils.tolist() == expected
