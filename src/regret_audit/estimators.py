@@ -183,18 +183,23 @@ def _grid_best(mech: Mechanism, profile: np.ndarray, bidder: int, base: float, a
     return _clamp_gain(best_gain, best_row, truthful)
 
 
+def _check_budget(max_evals: int, scan_rows) -> None:
+    """Refuse, before any evaluation, a worst case over ``max_evals``: the
+    truthful evaluation, and per grid scan its rows and an off-grid truthful row."""
+    required = 1 + sum(rows + 1 for rows in scan_rows)
+    if required > max_evals:
+        raise BudgetExceededError(required=required, budget=max_evals)
+
+
 def _scan_all_items(mech: Mechanism, profile, bidder: int, grid: GridSpec,
                     max_evals: int = DEFAULT_EVAL_BUDGET) -> ItemScan:
     """Scan each item's coordinate over the grid, others truthful: one
     truthful evaluation, then q+1 rows per item plus one more per off-grid
-    truthful coordinate, which pins that item's gain floor at 0. Raises
-    BudgetExceededError before evaluating anything if that worst case,
-    m(q+2)+1 on the inclusive grid, exceeds ``max_evals``."""
+    truthful coordinate, which pins that item's gain floor at 0. The budget
+    is charged that worst case, m(q+2)+1 on the inclusive grid."""
     pts = grid.points
     m = mech.setting.m
-    required = m * (pts.size + 1) + 1
-    if required > max_evals:
-        raise BudgetExceededError(required=required, budget=max_evals)
+    _check_budget(max_evals, [pts.size] * m)
     evals0 = mech.evaluations
     profile, base = _prepare(mech, profile, bidder)
     truthful = profile[bidder]
@@ -212,17 +217,13 @@ def exhaustive_regret(mech: Mechanism, profile, bidder: int, grid: GridSpec,
 
     The scan runs in lexicographic order and breaks ties by the first (i.e.
     lexicographically smallest) maximizer; when no deviation strictly gains,
-    the estimate is exactly 0 with the truthful row as misreport. Raises
-    BudgetExceededError before evaluating anything if (q+1)^m exceeds
-    ``max_evals``.
+    the estimate is exactly 0 with the truthful row as misreport. The budget
+    is charged the worst case, (q+1)^m + 2 (see ``_check_budget``).
     """
     t0 = time.perf_counter()
     pts = grid.points
     m = mech.setting.m
-    total = int(pts.size) ** m
-    if total > max_evals:
-        raise BudgetExceededError(required=total, budget=max_evals)
-
+    _check_budget(max_evals, [int(pts.size) ** m])
     evals0 = mech.evaluations
     profile, base = _prepare(mech, profile, bidder)
     value, best_row = _grid_best(mech, profile, bidder, base, [pts] * m)

@@ -61,10 +61,14 @@ def as_profile(values, setting: AuctionSetting) -> np.ndarray:
 
 
 def check_bidder(setting: AuctionSetting, bidder) -> None:
-    """Raise InvalidInputError unless ``bidder`` (an int or an array of
-    per-row indices) names bidders of the setting."""
-    index = np.asarray(bidder)
-    if index.size and (index.min() < 0 or index.max() >= setting.n):
+    """Raise InvalidInputError unless ``bidder`` (an int, checked in O(1), or
+    an integer array of per-row indices) names bidders of the setting."""
+    if isinstance(bidder, numbers.Integral) and not isinstance(bidder, bool):
+        valid = 0 <= bidder < setting.n
+    else:
+        index = np.asarray(bidder)
+        valid = index.dtype.kind in "iu" and ((index >= 0) & (index < setting.n)).all()
+    if not valid:
         raise InvalidInputError(f"bidder {bidder} out of range for n={setting.n}")
 
 
@@ -83,9 +87,10 @@ class Mechanism:
     depends on the worker count; only row independence makes reports equal
     for every worker count and equal to the standalone estimator functions.
     The hooks receive checked arguments. A ``_misreport_utilities`` override
-    must be bitwise equal to the default and charge one evaluation per row;
-    a subclass that replaces ``_run_batch`` without replacing it gets the
-    default back, since an override describes its own class's ``_run_batch``.
+    must equal the default up to rounding (see ``SecondPriceAuction``) and
+    charge one evaluation per row; a subclass replacing ``_run_batch`` alone
+    gets the default back, since an override describes its own class's
+    ``_run_batch``.
     """
 
     def __init_subclass__(cls, **kwargs):
@@ -107,30 +112,28 @@ class Mechanism:
         with self._eval_lock:
             self._evals += count
 
-    def _check_batch(self, batch, validate: bool) -> np.ndarray:
+    def _check_batch(self, batch) -> np.ndarray:
         batch = np.asarray(batch, dtype=np.float64)
         n, m = self.setting.n, self.setting.m
         if batch.ndim != 3 or batch.shape[1:] != (n, m):
             raise InvalidInputError(
                 f"bid batch shape {batch.shape} does not match (B, {n}, {m})"
             )
-        if validate:
-            _check_values(batch, "bids")
+        _check_values(batch, "bids")
         return batch
 
-    def utility_and_gradient_many(self, batch, bidder, valuation_row, validate: bool = True):
+    def utility_and_gradient_many(self, batch, bidder, valuation_row):
         """Utilities (B,) and their gradients (B, m) w.r.t. each row's bidder's
         own bid row; ``bidder`` is an int or one per row, ``valuation_row`` an
         (m,) row or one per row. Checks the arguments and calls
-        ``_gradient_batch``; ``validate=False`` skips only the value checks."""
-        batch = self._check_batch(batch, validate)
+        ``_gradient_batch``."""
+        batch = self._check_batch(batch)
         check_bidder(self.setting, bidder)
         B, m = batch.shape[0], self.setting.m
         v = np.asarray(valuation_row, dtype=np.float64)
         if v.shape not in ((m,), (B, m)):
             raise InvalidInputError(f"valuation row shape {v.shape} != ({m},) or ({B}, {m})")
-        if validate:
-            _check_values(v, "valuations")
+        _check_values(v, "valuations")
         return self._gradient_batch(batch, bidder, v)
 
     def _gradient_batch(self, batch: np.ndarray, bidder, v: np.ndarray):
@@ -142,10 +145,10 @@ class Mechanism:
 
     def _misreport_utilities(self, profile: np.ndarray, bidder, rows: np.ndarray,
                              v: np.ndarray) -> np.ndarray:
-        """Utilities (B,) of finite candidate rows, each for its bidder with
+        """Utilities (B,) of candidate rows in [0, 1], each for its bidder with
         valuation ``v`` (one row or one per row), others as in its profile
         (shapes as in ``rows_to_profiles``); one evaluation per row."""
-        alloc, pay = self.run_many(rows_to_profiles(profile, bidder, rows), validate=False)
+        alloc, pay = self.run_many(rows_to_profiles(profile, bidder, rows))
         own = _own(rows.shape[0], bidder)
         return (alloc[own] * v).sum(axis=1) - pay[own]
 
@@ -154,13 +157,13 @@ class Mechanism:
         alloc, pay = self.run_many(np.asarray(bids, dtype=np.float64)[None, ...])
         return alloc[0], pay[0]
 
-    def run_many(self, batch, validate: bool = True) -> Tuple[np.ndarray, np.ndarray]:
+    def run_many(self, batch) -> Tuple[np.ndarray, np.ndarray]:
         """Evaluate a (B, n, m) stack of bid profiles; counts B evaluations.
 
         Equivalent to B independent ``run`` calls: every built-in computes each
         batch row independently, so results do not depend on the batch layout.
         """
-        batch = self._check_batch(batch, validate)
+        batch = self._check_batch(batch)
         alloc, pay = self._run_batch(batch)
         self._charge(batch.shape[0])
         return alloc, pay
@@ -174,7 +177,9 @@ class SecondPriceAuction(Mechanism):
     bidder index) and pays the second-highest bid, or 0 when n == 1.
 
     Truthful bidding is a dominant strategy, so every regret estimator must
-    report zero on this mechanism.
+    report zero on this mechanism. Misreport utilities sum per-item surplus
+    w * (v - p) rather than sum(w * v) - sum(w * p): truthful surplus is
+    largest per item and float sums are monotone, so rounding never gains.
     """
 
     def _run_batch(self, batch):
@@ -193,7 +198,7 @@ class SecondPriceAuction(Mechanism):
         w, omax = _wins(profile, bidder, rows)
         self._charge(rows.shape[0])
         price = omax if self.setting.n > 1 else np.zeros_like(omax)
-        return (w * v).sum(axis=1) - (w * price).sum(axis=1)
+        return (w * (v - price)).sum(axis=1)
 
 
 class PerItemFirstPriceAuction(Mechanism):
@@ -250,6 +255,17 @@ def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+#: each neural spec weight array, in draw order, and its shape for (n, m, hidden width)
+_SPEC_SHAPES = {
+    "weights_in": lambda n, m, h: (n * m, h),
+    "bias_in": lambda n, m, h: (h,),
+    "weights_alloc": lambda n, m, h: (h, (n + 1) * m),
+    "bias_alloc": lambda n, m, h: ((n + 1) * m,),
+    "weights_pay": lambda n, m, h: (h, n),
+    "bias_pay": lambda n, m, h: (n,),
+}
+
+
 @dataclass(frozen=True, eq=False)
 class NeuralMechanismSpec:
     """Weights of a fixed feedforward softmax mechanism (never trained).
@@ -257,7 +273,9 @@ class NeuralMechanismSpec:
     Forward pass: h = tanh(flat(bids) @ W_in + b_in); allocation scores are
     reshaped to (n+1, m) and column-softmaxed (row n is the unallocated dummy
     share); payments are sigmoid(h @ W_pay + b_pay) times the bidder's
-    reported value of its allocation, which keeps payments nonnegative.
+    reported value of its allocation, which keeps payments nonnegative. The
+    constructor stores each weight array as float64 and raises
+    MechanismLoadError naming the first of the wrong shape or non-finite.
     """
 
     setting: AuctionSetting
@@ -271,50 +289,22 @@ class NeuralMechanismSpec:
 
     def __post_init__(self):
         check_int(self.hidden_width, "hidden_width", 1)
+        n, m, h = self.setting.n, self.setting.m, self.hidden_width
+        for field_name, shape_of in _SPEC_SHAPES.items():
+            arr = np.asarray(getattr(self, field_name), dtype=np.float64)
+            object.__setattr__(self, field_name, arr)
+            if arr.shape != shape_of(n, m, h):
+                raise MechanismLoadError(
+                    f"{field_name} has shape {arr.shape}, expected {shape_of(n, m, h)} "
+                    f"for setting {n}x{m} with hidden width {h}"
+                )
+            if not np.all(np.isfinite(arr)):
+                raise MechanismLoadError(f"{field_name} contains non-finite entries")
 
     def __eq__(self, other):
         if not isinstance(other, NeuralMechanismSpec):
             return NotImplemented
-        return (
-            self.setting == other.setting
-            and self.hidden_width == other.hidden_width
-            and all(
-                np.array_equal(getattr(self, f), getattr(other, f))
-                for f in _SPEC_ARRAY_FIELDS
-            )
-        )
-
-
-_SPEC_ARRAY_FIELDS = (
-    "weights_in",
-    "bias_in",
-    "weights_alloc",
-    "bias_alloc",
-    "weights_pay",
-    "bias_pay",
-)
-
-
-def validate_neural_spec(spec: NeuralMechanismSpec) -> None:
-    """Raise MechanismLoadError naming the first offending dimension."""
-    n, m, h = spec.setting.n, spec.setting.m, spec.hidden_width
-    expected = {
-        "weights_in": (n * m, h),
-        "bias_in": (h,),
-        "weights_alloc": (h, (n + 1) * m),
-        "bias_alloc": ((n + 1) * m,),
-        "weights_pay": (h, n),
-        "bias_pay": (n,),
-    }
-    for field_name, shape in expected.items():
-        arr = getattr(spec, field_name)
-        if arr.shape != shape:
-            raise MechanismLoadError(
-                f"{field_name} has shape {arr.shape}, expected {shape} "
-                f"for setting {n}x{m} with hidden width {h}"
-            )
-        if not np.all(np.isfinite(arr)):
-            raise MechanismLoadError(f"{field_name} contains non-finite entries")
+        return spec_to_dict(self) == spec_to_dict(other)
 
 
 def generate_neural_spec(setting: AuctionSetting, hidden_width: int, seed: int) -> NeuralMechanismSpec:
@@ -325,17 +315,9 @@ def generate_neural_spec(setting: AuctionSetting, hidden_width: int, seed: int) 
     """
     check_int(hidden_width, "hidden_width", 1)
     g = rng.spawn_generator(seed, rng.STREAM_WEIGHTS)
-    n, m, h = setting.n, setting.m, hidden_width
-    return NeuralMechanismSpec(
-        setting=setting,
-        hidden_width=h,
-        weights_in=g.uniform(-1.0, 1.0, size=(n * m, h)),
-        bias_in=g.uniform(-1.0, 1.0, size=h),
-        weights_alloc=g.uniform(-1.0, 1.0, size=(h, (n + 1) * m)),
-        bias_alloc=g.uniform(-1.0, 1.0, size=(n + 1) * m),
-        weights_pay=g.uniform(-1.0, 1.0, size=(h, n)),
-        bias_pay=g.uniform(-1.0, 1.0, size=n),
-    )
+    return NeuralMechanismSpec(setting, hidden_width, **{
+        f: g.uniform(-1.0, 1.0, size=shape_of(setting.n, setting.m, hidden_width))
+        for f, shape_of in _SPEC_SHAPES.items()})
 
 
 def spec_to_dict(spec: NeuralMechanismSpec) -> dict:
@@ -344,22 +326,20 @@ def spec_to_dict(spec: NeuralMechanismSpec) -> dict:
         "setting": {"n": spec.setting.n, "m": spec.setting.m},
         "hidden_width": spec.hidden_width,
         # row-major nested lists; json round-trips float64 exactly via repr
-        **{f: getattr(spec, f).tolist() for f in _SPEC_ARRAY_FIELDS},
+        **{f: getattr(spec, f).tolist() for f in _SPEC_SHAPES},
     }
 
 
 def spec_from_dict(data: dict) -> NeuralMechanismSpec:
     check_format(data, "mechanism spec", SPEC_FORMAT_VERSION, MechanismLoadError)
     try:
-        spec = NeuralMechanismSpec(
+        return NeuralMechanismSpec(
             setting=AuctionSetting(data["setting"]["n"], data["setting"]["m"]),
             hidden_width=data["hidden_width"],
-            **{f: np.asarray(data[f], dtype=np.float64) for f in _SPEC_ARRAY_FIELDS},
+            **{f: data[f] for f in _SPEC_SHAPES},
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise MechanismLoadError(f"malformed mechanism spec: {exc}") from exc
-    validate_neural_spec(spec)
-    return spec
 
 
 def write_json(data, path) -> None:
@@ -390,7 +370,6 @@ def check_format(data, what: str, version: int, error) -> None:
 
 
 def write_neural_spec(spec: NeuralMechanismSpec, path) -> None:
-    validate_neural_spec(spec)
     write_json(spec_to_dict(spec), path)
 
 
@@ -402,29 +381,22 @@ class NeuralMechanism(Mechanism):
     """Fixed-weight feedforward softmax mechanism with analytic gradients."""
 
     def __init__(self, spec: NeuralMechanismSpec):
-        validate_neural_spec(spec)
         super().__init__(spec.setting)
         self.spec = spec
-        self._w_in = np.asarray(spec.weights_in, dtype=np.float64)
-        self._b_in = np.asarray(spec.bias_in, dtype=np.float64)
-        self._w_alloc = np.asarray(spec.weights_alloc, dtype=np.float64)
-        self._b_alloc = np.asarray(spec.bias_alloc, dtype=np.float64)
-        self._w_pay = np.asarray(spec.weights_pay, dtype=np.float64)
-        self._b_pay = np.asarray(spec.bias_pay, dtype=np.float64)
         n, m, h = spec.setting.n, spec.setting.m, spec.hidden_width
         # per bidder, the (hidden, m) input weights of its own bid row
-        self._w_in_own = self._w_in.reshape(n, m, h).transpose(0, 2, 1).copy()
+        self._w_in_own = spec.weights_in.reshape(n, m, h).transpose(0, 2, 1).copy()
 
     def _forward(self, batch):
         B = batch.shape[0]
         n, m = self.setting.n, self.setting.m
         x = batch.reshape(B, n * m)
-        h = np.tanh(_affine(x, self._w_in, self._b_in))
-        scores = _affine(h, self._w_alloc, self._b_alloc).reshape(B, n + 1, m)
+        h = np.tanh(_affine(x, self.spec.weights_in, self.spec.bias_in))
+        scores = _affine(h, self.spec.weights_alloc, self.spec.bias_alloc).reshape(B, n + 1, m)
         shifted = scores - scores.max(axis=1, keepdims=True)
         e = np.exp(shifted)
         g_full = e / e.sum(axis=1, keepdims=True)
-        sig = 1.0 / (1.0 + np.exp(-_affine(h, self._w_pay, self._b_pay)))
+        sig = 1.0 / (1.0 + np.exp(-_affine(h, self.spec.weights_pay, self.spec.bias_pay)))
         alloc = g_full[:, :n, :]
         reported = (alloc * batch).sum(axis=2)
         pay = sig * reported
@@ -457,8 +429,8 @@ class NeuralMechanism(Mechanism):
         d_flat = d_scores.reshape(B, (n + 1) * m)
         r_h = np.zeros((B, self.spec.hidden_width))
         for c in range(d_flat.shape[1]):
-            r_h += d_flat[:, c, None] * self._w_alloc[None, :, c]
-        r_h += dudz[:, None] * self._w_pay.T[bidder]
+            r_h += d_flat[:, c, None] * self.spec.weights_alloc[None, :, c]
+        r_h += dudz[:, None] * self.spec.weights_pay.T[bidder]
 
         t = (1.0 - h * h) * r_h
         grad = np.zeros((B, m))
@@ -471,7 +443,7 @@ class NeuralMechanism(Mechanism):
 
 
 def load_neural_mechanism(spec: NeuralMechanismSpec) -> NeuralMechanism:
-    """Build the pure mechanism for a validated weight spec."""
+    """Build the pure mechanism for a weight spec."""
     return NeuralMechanism(spec)
 
 
@@ -506,13 +478,14 @@ def evaluate_misreports(mech: Mechanism, profile: np.ndarray, bidder,
 
     ``valuation_row`` (one row, or one per candidate) defaults to each
     bidder's truthful row. Costs one mechanism evaluation per candidate row,
-    through the mechanism's ``_misreport_utilities``. A non-finite candidate
-    row raises InvalidInputError.
+    through the mechanism's ``_misreport_utilities``. A bidder out of range
+    or a candidate row not in [0, 1] raises InvalidInputError.
     """
-    if not np.isfinite(rows).all():
-        i = int(np.argmin(np.isfinite(rows).all(axis=1)))
+    check_bidder(mech.setting, bidder)
+    if rows.size and not (rows.min() >= 0.0 and rows.max() <= 1.0):
+        i = int(np.argmin(((rows >= 0.0) & (rows <= 1.0)).all(axis=1)))
         raise InvalidInputError(f"misreport row {rows[i].tolist()} of bidder "
-                                f"{np.broadcast_to(bidder, rows.shape[:1])[i]} is not finite")
+                                f"{np.broadcast_to(bidder, rows.shape[:1])[i]} is not in [0, 1]")
     own = _own(rows.shape[0], bidder)
     if valuation_row is None:
         v = np.broadcast_to(profile, (rows.shape[0],) + profile.shape[-2:])[own]

@@ -129,7 +129,7 @@ def _ascend(mech: Mechanism, profiles: np.ndarray, bidders: np.ndarray, starts: 
         if last:
             return evaluate_misreports(mech, profiles, bidders, rows), None
         return mech.utility_and_gradient_many(
-            rows_to_profiles(profiles, bidders, rows), bidders, v, validate=False)
+            rows_to_profiles(profiles, bidders, rows), bidders, v)
 
     u, g = evaluate(x, steps == 0)
     best_u, best_x = u.copy(), x.copy()

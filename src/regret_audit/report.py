@@ -8,12 +8,13 @@ deterministic functions of the run configuration.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Dict, List
 
 import numpy as np
 
-from .errors import InvalidConfigError, ReportFormatError
+from .errors import InvalidConfigError, InvalidInputError, ReportFormatError
 from .estimators import RegretEstimate
 from .mechanisms import check_format, check_int, read_json, write_json
 
@@ -69,6 +70,13 @@ def compute_method_means(records: List[AuditRecord], samples: int,
     return means
 
 
+def check_float(value, what: str) -> float:
+    """``value`` as a float; InvalidInputError unless it is a number (no bool, no string)."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise InvalidInputError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
 def _estimate_to_dict(est: RegretEstimate) -> dict:
     return {
         "method": est.method,
@@ -87,10 +95,10 @@ def _estimate_from_dict(data: dict) -> RegretEstimate:
     return RegretEstimate(
         method=data["method"],
         bidder=data["bidder"],
-        value=float(data["value"]),
+        value=check_float(data["value"], "value"),
         best_misreport=None if misreport is None else np.asarray(misreport, dtype=np.float64),
         mech_evals=data["mech_evals"],
-        wall_seconds=float(data["wall_seconds"]),
+        wall_seconds=check_float(data["wall_seconds"], "wall_seconds"),
         gradient_steps=data["gradient_steps"],
         flagged=data["flagged"],
     )
@@ -120,18 +128,21 @@ def report_from_dict(data: dict) -> AuditReport:
             AuditRecord(sample=rec["sample"], estimate=_estimate_from_dict(rec))
             for rec in data["records"]
         ]
-        return AuditReport(
+        report = AuditReport(
             config=data["config"],
             samples=data["samples"],
             methods=tuple(data["methods"]),
             records=records,
-            method_means={k: float(v) for k, v in data["method_means"].items()},
+            method_means={k: check_float(v, f"method_means[{k!r}]")
+                          for k, v in data["method_means"].items()},
             total_mech_evals=data["total_mech_evals"],
             total_gradient_steps=data["total_gradient_steps"],
-            wall_seconds=float(data["wall_seconds"]),
+            wall_seconds=check_float(data["wall_seconds"], "wall_seconds"),
         )
+        validate_report(report)  # a file that write_report refuses does not load
+        return report
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        # ValueError covers the fields that the report types reject (InvalidInputError)
+        # ValueError covers what the report types and validate_report reject
         raise ReportFormatError(f"malformed report: {exc}") from exc
 
 
@@ -140,6 +151,9 @@ def validate_report(report: AuditReport) -> None:
         raise InvalidConfigError("a report must cover at least one sample")
     if not report.records:
         raise InvalidConfigError("a report must contain records")
+    past = [rec.sample for rec in report.records if rec.sample >= report.samples]
+    if past:
+        raise InvalidConfigError(f"record sample {past[0]} out of range: samples={report.samples}")
     # means stay recomputable from the records
     recomputed = compute_method_means(report.records, report.samples, report.methods)
     for method, mean in report.method_means.items():

@@ -182,9 +182,17 @@ class TestEvalAccounting:
         mech = ra.load_neural_mechanism(ra.generate_neural_spec(setting, 8, 5))
         profile = uniform_profile(setting, 0, 11)
         before = mech.evaluations
-        with pytest.raises(ra.BudgetExceededError, match=str(101 ** 4)):
+        # the worst case: the grid, the truthful row, and an off-grid truthful row
+        with pytest.raises(ra.BudgetExceededError, match=str(101 ** 4 + 2)):
             ra.exhaustive_regret(mech, profile, 0, ra.GridSpec(100), max_evals=10 ** 6)
         assert mech.evaluations == before  # refused before evaluating anything
+        # neural 2x2, q=4 spends 25 + 2 evaluations; a budget of 25 used to run them
+        mech = ra.load_neural_mechanism(ra.generate_neural_spec(ra.AuctionSetting(2, 2), 16, 42))
+        profile = uniform_profile(mech.setting, 0, 11)
+        with pytest.raises(ra.BudgetExceededError):
+            ra.exhaustive_regret(mech, profile, 0, ra.GridSpec(4), max_evals=25)
+        assert mech.evaluations == 0
+        assert ra.exhaustive_regret(mech, profile, 0, ra.GridSpec(4), max_evals=27).mech_evals == 27
 
     @pytest.mark.parametrize("style, points", [("inclusive", 100001), ("open_left", 100000)])
     def test_item_scan_charged_against_budget(self, style, points):

@@ -148,7 +148,7 @@ class TestRunAudit:
         for workers in (1, 2):
             with pytest.raises(ra.BudgetExceededError) as info:
                 ra.run_audit(cfg, workers=workers)
-            assert (info.value.required, info.value.budget) == (101 ** 2, 100)
+            assert (info.value.required, info.value.budget) == (101 ** 2 + 2, 100)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_item_scan_budget_exceeded(self, workers):
@@ -454,6 +454,14 @@ class TestReportIO:
              "malformed.*bidder must be an integer"),
             ({**data, "records": [{**data["records"][0], "flagged": "false"}]},
              "malformed.*flagged must be a bool"),
+            # nor are floats: these used to read as 0.5
+            ({**data, "records": [{**data["records"][0], "value": "0.5"}, *data["records"][1:]]},
+             "malformed.*value must be a number"),
+            ({**data, "method_means": {**data["method_means"], data["methods"][0]: "0.5"}},
+             "malformed.*must be a number"),
+            # a record past the sample count used to load
+            ({**data, "records": [*data["records"], {**data["records"][0], "sample": 2}]},
+             "malformed.*sample 2 out of range"),
         ]
         for bad, match in cases:
             path.write_text(json.dumps(bad))
@@ -467,6 +475,14 @@ class TestReportIO:
         report.samples = 0
         report.records = []
         with pytest.raises(ra.InvalidConfigError):
+            ra.write_report(report, tmp_path / "r.json")
+        assert not (tmp_path / "r.json").exists()
+
+    def test_record_sample_out_of_range_rejected_at_write(self, tmp_path):
+        # used to raise a raw IndexError
+        report = ra.run_audit(small_cfg(samples=2))
+        report.records[0].sample = 5
+        with pytest.raises(ra.InvalidConfigError, match="sample 5 out of range"):
             ra.write_report(report, tmp_path / "r.json")
         assert not (tmp_path / "r.json").exists()
 

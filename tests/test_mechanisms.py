@@ -156,9 +156,10 @@ class TestMechanismProperties:
 
     @pytest.mark.parametrize("factory", [ra.SecondPriceAuction, ra.PerItemFirstPriceAuction,
                                          ConstantMechanism])
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1.5, -0.2])
     def test_non_finite_misreport_rows_rejected(self, factory, bad):
-        # second price used to score [nan, .4] and [.3, nan] at -0.4 and 0.1
+        # second price used to score [nan, .4] and [.3, nan] at -0.4 and 0.1,
+        # and rows outside [0, 1] were scored too
         mech = factory(ra.AuctionSetting(3, 2))
         profile = np.array([[0.3, 0.4], [0.2, 0.5], [0.6, 0.1]])
         for row in ([bad, 0.4], [0.3, bad]):
@@ -166,6 +167,13 @@ class TestMechanismProperties:
             for bidder in (1, np.array([0, 1])):
                 with pytest.raises(ra.InvalidInputError, match=rf"\[.*\] of bidder 1 is not"):
                     ra.evaluate_misreports(mech, profile, bidder, rows)
+        # first price scored the row [1.5, -0.2] at -1.2 and bidder -1 as
+        # bidder 2, and bidder 3 raised a raw IndexError
+        with pytest.raises(ra.InvalidInputError, match=r"\[1.5, -0.2\] of bidder 0 is not"):
+            ra.evaluate_misreports(mech, profile, 0, np.array([[1.5, -0.2]]))
+        for bidder in (-1, 3, np.array([0, 3]), 0.5, np.array([0.0, 1.0]), True):
+            with pytest.raises(ra.InvalidInputError, match="out of range"):
+                ra.evaluate_misreports(mech, profile, bidder, np.array([[0.3, 0.4]] * 2))
         assert mech.evaluations == 0
 
 
@@ -299,13 +307,13 @@ class TestNeuralSpec:
 
     def test_malformed_spec_names_offending_dimension(self, setting_2x2):
         spec = ra.generate_neural_spec(setting_2x2, 16, 42)
-        bad = ra.NeuralMechanismSpec(
-            setting=spec.setting, hidden_width=spec.hidden_width,
-            weights_in=spec.weights_in[:, :-1], bias_in=spec.bias_in,
-            weights_alloc=spec.weights_alloc, bias_alloc=spec.bias_alloc,
-            weights_pay=spec.weights_pay, bias_pay=spec.bias_pay)
+        # an invalid spec cannot be built at all
         with pytest.raises(ra.MechanismLoadError, match="weights_in"):
-            ra.load_neural_mechanism(bad)
+            ra.NeuralMechanismSpec(
+                setting=spec.setting, hidden_width=spec.hidden_width,
+                weights_in=spec.weights_in[:, :-1], bias_in=spec.bias_in,
+                weights_alloc=spec.weights_alloc, bias_alloc=spec.bias_alloc,
+                weights_pay=spec.weights_pay, bias_pay=spec.bias_pay)
         # the same and untyped failures, read from a spec's JSON form
         data = ra.mechanisms.spec_to_dict(spec)
         cases = [
