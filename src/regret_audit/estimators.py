@@ -154,7 +154,9 @@ def _grid_best(mech: Mechanism, profile: np.ndarray, bidder: int, base: float, a
     its leading coordinates. The truthful row, when not in the product, costs
     one more evaluation, which pins the gain floor at 0. A non-finite
     utility raises InvalidInputError: a NaN would otherwise drop out of the
-    argmax and leave a false 0.0.
+    argmax and leave a false 0.0. The estimator checked the profile and
+    bidder once (``_prepare``), and grid rows lie in [0, 1], so the chunks
+    go to the mechanism's hook without ``evaluate_misreports``' checks.
     """
     truthful = profile[bidder]
     sizes = tuple(len(axis) for axis in axes)
@@ -170,7 +172,7 @@ def _grid_best(mech: Mechanism, profile: np.ndarray, bidder: int, base: float, a
         rows[:, :, :lead] = leading[:, None, :]
         rows[:, :, lead:] = block
         rows = rows.reshape(-1, len(axes))
-        utils = evaluate_misreports(mech, profile, bidder, rows)
+        utils = mech._misreport_utilities(profile, bidder, rows, truthful)
         if not np.isfinite(utils).all():
             raise InvalidInputError(f"mechanism gives bidder {bidder} a non-finite misreport "
                                     f"utility at {rows[np.argmin(np.isfinite(utils))].tolist()}")
@@ -179,7 +181,7 @@ def _grid_best(mech: Mechanism, profile: np.ndarray, bidder: int, base: float, a
         if gains[i] > best_gain:
             best_gain, best_row = float(gains[i]), rows[i].copy()
     if not all((axis == t).any() for t, axis in zip(truthful, axes)):
-        evaluate_misreports(mech, profile, bidder, truthful[None, :])
+        mech._misreport_utilities(profile, bidder, truthful[None, :], truthful)
     return _clamp_gain(best_gain, best_row, truthful)
 
 

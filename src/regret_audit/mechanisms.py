@@ -246,12 +246,15 @@ BUILTIN_MECHANISMS = {
 
 
 def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # Fixed-order accumulation instead of a BLAS matmul: each output row is
-    # then bitwise independent of the batch size, which the exact-equality
+    # out[j] = b[j] + sum_k w[k, j] * x[k], feature-major: x (K, B), b (O, 1), w (K, O, 1)
+    # or (K, O, B) per column. Adding in increasing k instead of a BLAS matmul keeps
+    # each column bitwise independent of the batch, which the exact-equality
     # invariants (restart nesting, guided >= lower bound) rely on.
-    out = np.tile(b, (x.shape[0], 1))
-    for k in range(w.shape[0]):
-        out += x[:, k, None] * w[k]
+    out = np.repeat(b, x.shape[1], axis=1)
+    term = np.empty_like(out)
+    for w_k, x_k in zip(w, x):
+        np.multiply(w_k, x_k, out=term)
+        out += term
     return out
 
 
@@ -384,20 +387,26 @@ class NeuralMechanism(Mechanism):
         super().__init__(spec.setting)
         self.spec = spec
         n, m, h = spec.setting.n, spec.setting.m, spec.hidden_width
-        # per bidder, the (hidden, m) input weights of its own bid row
-        self._w_in_own = spec.weights_in.reshape(n, m, h).transpose(0, 2, 1).copy()
+        # both heads read h: [W_alloc | W_pay], scores first
+        self._w_out = np.concatenate([spec.weights_alloc, spec.weights_pay], axis=1)[:, :, None]
+        self._b_out = np.concatenate([spec.bias_alloc, spec.bias_pay])[:, None]
+        # (hidden, m, n): the input weights of each bidder's own bid row
+        self._w_in_own = spec.weights_in.reshape(n, m, h).transpose(2, 1, 0).copy()
 
     def _forward(self, batch):
         B = batch.shape[0]
         n, m = self.setting.n, self.setting.m
-        x = batch.reshape(B, n * m)
-        h = np.tanh(_affine(x, self.spec.weights_in, self.spec.bias_in))
-        scores = _affine(h, self.spec.weights_alloc, self.spec.bias_alloc).reshape(B, n + 1, m)
-        shifted = scores - scores.max(axis=1, keepdims=True)
-        e = np.exp(shifted)
-        g_full = e / e.sum(axis=1, keepdims=True)
-        sig = 1.0 / (1.0 + np.exp(-_affine(h, self.spec.weights_pay, self.spec.bias_pay)))
-        alloc = g_full[:, :n, :]
+        x = np.ascontiguousarray(batch.reshape(B, n * m).T)
+        h = np.tanh(_affine(x, self.spec.weights_in[:, :, None], self.spec.bias_in[:, None]))
+        out = _affine(h, self._w_out, self._b_out)
+        scores = out[:(n + 1) * m].reshape(n + 1, m, B)
+        e = np.exp(scores - scores.max(axis=0))
+        # batch-major, one item's n+1 scores are contiguous and sum pairwise
+        total = e.sum(axis=0) if m > 1 else np.ascontiguousarray(e[:, 0].T).sum(axis=1)
+        g_full = e / total
+        sig = np.ascontiguousarray((1.0 / (1.0 + np.exp(-out[(n + 1) * m:]))).T)
+        alloc = np.ascontiguousarray(g_full[:n].transpose(2, 0, 1))
+        # m-sums stay batch-major: numpy adds a contiguous axis pairwise from 8 terms on
         reported = (alloc * batch).sum(axis=2)
         pay = sig * reported
         return h, g_full, sig, reported, alloc, pay
@@ -415,29 +424,22 @@ class NeuralMechanism(Mechanism):
         self._charge(B)
 
         own = _own(B, bidder)
-        own_bids = batch[own]
-        gb = g_full[own]
+        gb = alloc[own]
         sig_b = sig[own]
-        u = (alloc[own] * v).sum(axis=1) - pay[own]
+        u = (gb * v).sum(axis=1) - pay[own]
 
         # cotangent of the allocation scores: w_j * g_bj * (delta_rb - g_rj)
-        w = v - sig_b[:, None] * own_bids
-        d_scores = -(w * gb)[:, None, :] * g_full
-        d_scores[own] += w * gb
+        wg = ((v - sig_b[:, None] * batch[own]) * gb).T
+        d_scores = -wg * g_full
+        d_scores.transpose(2, 0, 1)[own] += wg.T
         dudz = -sig_b * (1.0 - sig_b) * reported[own]
 
-        d_flat = d_scores.reshape(B, (n + 1) * m)
-        r_h = np.zeros((B, self.spec.hidden_width))
-        for c in range(d_flat.shape[1]):
-            r_h += d_flat[:, c, None] * self.spec.weights_alloc[None, :, c]
-        r_h += dudz[:, None] * self.spec.weights_pay.T[bidder]
-
+        cols = np.reshape(bidder, -1)  # each row's bidder: one column, or one per row
+        r_h = _affine(d_scores.reshape((n + 1) * m, B),
+                      self.spec.weights_alloc.T[:, :, None], np.zeros((h.shape[0], 1)))
+        r_h += self.spec.weights_pay[:, cols] * dudz
         t = (1.0 - h * h) * r_h
-        grad = np.zeros((B, m))
-        # (B, hidden, m): the input weights of each row's own bids
-        own_w_in = np.broadcast_to(self._w_in_own[bidder], (B,) + self._w_in_own.shape[1:])
-        for a in range(t.shape[1]):
-            grad += t[:, a, None] * own_w_in[:, a, :]
+        grad = np.ascontiguousarray(_affine(t, self._w_in_own[:, :, cols], np.zeros((m, 1))).T)
         grad -= sig_b[:, None] * gb
         return u, grad
 
@@ -478,10 +480,12 @@ def evaluate_misreports(mech: Mechanism, profile: np.ndarray, bidder,
 
     ``valuation_row`` (one row, or one per candidate) defaults to each
     bidder's truthful row. Costs one mechanism evaluation per candidate row,
-    through the mechanism's ``_misreport_utilities``. A bidder out of range
-    or a candidate row not in [0, 1] raises InvalidInputError.
+    through the mechanism's ``_misreport_utilities``. A bidder out of range,
+    or a candidate row, profile or valuation not in [0, 1], raises
+    InvalidInputError.
     """
     check_bidder(mech.setting, bidder)
+    _check_values(profile, "profile entries")
     if rows.size and not (rows.min() >= 0.0 and rows.max() <= 1.0):
         i = int(np.argmin(((rows >= 0.0) & (rows <= 1.0)).all(axis=1)))
         raise InvalidInputError(f"misreport row {rows[i].tolist()} of bidder "
@@ -491,6 +495,7 @@ def evaluate_misreports(mech: Mechanism, profile: np.ndarray, bidder,
         v = np.broadcast_to(profile, (rows.shape[0],) + profile.shape[-2:])[own]
     else:
         v = np.asarray(valuation_row, dtype=np.float64)
+        _check_values(v, "valuations")
     return mech._misreport_utilities(profile, bidder, rows, v)
 
 

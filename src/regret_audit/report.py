@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import InvalidConfigError, InvalidInputError, ReportFormatError
 from .estimators import RegretEstimate
-from .mechanisms import check_format, check_int, read_json, write_json
+from .mechanisms import _check_values, check_format, check_int, read_json, write_json
 
 REPORT_FORMAT_VERSION = 1
 
@@ -71,9 +71,12 @@ def compute_method_means(records: List[AuditRecord], samples: int,
 
 
 def check_float(value, what: str) -> float:
-    """``value`` as a float; InvalidInputError unless it is a number (no bool, no string)."""
+    """``value`` as a float; InvalidInputError unless it is a finite number
+    >= 0 (no bool, no string), as every float of a report is."""
     if not isinstance(value, numbers.Real) or isinstance(value, bool):
         raise InvalidInputError(f"{what} must be a number, got {value!r}")
+    if not 0.0 <= value < np.inf:
+        raise InvalidInputError(f"{what} must be finite and >= 0, got {value!r}")
     return float(value)
 
 
@@ -92,11 +95,17 @@ def _estimate_to_dict(est: RegretEstimate) -> dict:
 
 def _estimate_from_dict(data: dict) -> RegretEstimate:
     misreport = data["best_misreport"]
+    if misreport is not None:
+        misreport = np.asarray(misreport, dtype=np.float64)
+        if misreport.ndim != 1 or not misreport.size:
+            raise InvalidInputError(
+                f"best_misreport must be a bid row, got {data['best_misreport']!r}")
+        _check_values(misreport, "best_misreport entries")
     return RegretEstimate(
         method=data["method"],
         bidder=data["bidder"],
         value=check_float(data["value"], "value"),
-        best_misreport=None if misreport is None else np.asarray(misreport, dtype=np.float64),
+        best_misreport=misreport,
         mech_evals=data["mech_evals"],
         wall_seconds=check_float(data["wall_seconds"], "wall_seconds"),
         gradient_steps=data["gradient_steps"],
@@ -154,6 +163,14 @@ def validate_report(report: AuditReport) -> None:
     past = [rec.sample for rec in report.records if rec.sample >= report.samples]
     if past:
         raise InvalidConfigError(f"record sample {past[0]} out of range: samples={report.samples}")
+    strays = [rec.estimate.method for rec in report.records
+              if rec.estimate.method not in report.methods]
+    if strays:
+        raise InvalidConfigError(
+            f"record method {strays[0]!r} is not one of {list(report.methods)}")
+    if set(report.method_means) != set(report.methods):
+        raise InvalidConfigError(f"method_means names {list(report.method_means)}, "
+                                 f"expected the methods {list(report.methods)}")
     # means stay recomputable from the records
     recomputed = compute_method_means(report.records, report.samples, report.methods)
     for method, mean in report.method_means.items():

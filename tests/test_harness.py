@@ -492,6 +492,20 @@ class TestReportIO:
         with pytest.raises(ra.InvalidConfigError, match="deviates"):
             ra.write_report(report, tmp_path / "r.json")
 
+    def test_means_must_name_the_methods(self, tmp_path):
+        # a mean of a method the report does not list raised a raw KeyError
+        report = ra.run_audit(small_cfg(methods=("item_wise",), samples=2))
+        path = tmp_path / "r.json"
+        ra.write_report(report, path)
+        data = json.loads(path.read_text())
+        report.method_means["pga"] = 0.1
+        with pytest.raises(ra.InvalidConfigError, match="method_means names"):
+            ra.write_report(report, path)
+        for means in ({**data["method_means"], "pga": 0.1}, {}):
+            path.write_text(json.dumps({**data, "method_means": means}))
+            with pytest.raises(ra.ReportFormatError, match="method_means names"):
+                ra.read_report(path)
+
 
 class TestSweep:
     def test_degenerate_sweep_equals_run_audit(self):

@@ -176,6 +176,20 @@ class TestMechanismProperties:
                 ra.evaluate_misreports(mech, profile, bidder, np.array([[0.3, 0.4]] * 2))
         assert mech.evaluations == 0
 
+    @pytest.mark.parametrize("factory", [ra.SecondPriceAuction, ra.PerItemFirstPriceAuction,
+                                         ConstantMechanism])
+    def test_misreport_profile_and_valuation_checked(self, factory):
+        # first price scored valuation [5, -3] at 4.7 and this profile at 6.7
+        mech = factory(ra.AuctionSetting(2, 2))
+        profile = np.array([[0.3, 0.4], [0.2, 0.5]])
+        row = np.array([[0.3, 0.4]])
+        with pytest.raises(ra.InvalidInputError, match="valuations"):
+            ra.evaluate_misreports(mech, profile, 0, row, valuation_row=[5.0, -3.0])
+        for bad in ([[7.0, 0.4], [0.2, -9.5]], [[0.3, 0.4], [np.nan, 0.5]]):
+            with pytest.raises(ra.InvalidInputError, match="profile entries"):
+                ra.evaluate_misreports(mech, np.array(bad), 0, row)
+        assert mech.evaluations == 0
+
 
 class TestUtility:
     def test_zero_valuation_zero_payment_gives_zero(self):

@@ -1,10 +1,13 @@
 """Properties checked on generated inputs: batch invariance of the lockstep
 ascent, report equality across worker counts, restart nesting, monotone
 grid refinement, the exact bound chain, chunk invariance of the grid scans,
-and the built-in auctions' direct misreport utilities against the default
-path and the closed-form grid regret."""
+the built-in auctions' direct misreport utilities against the default path
+and the closed-form grid regret, the feature-major neural kernel against a
+batch-major reference, and report reading under mutation."""
 
+import copy
 import json
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -15,6 +18,7 @@ from hypothesis import strategies as st
 import regret_audit as ra
 from regret_audit import estimators
 from regret_audit.optimizer import _ascend
+from regret_audit.report import report_to_dict
 
 from conftest import NanAboveAuction, uniform_profile
 
@@ -258,3 +262,129 @@ def test_run_batch_override_falls_back_to_run_many(name, expected):
     assert run_many.call_count == 1
     # both rows win item 0; the second ties item 1 and wins it on the lower index
     assert utils.tolist() == expected
+
+
+def _batch_major_affine(x, w, b):
+    out = np.tile(b, (x.shape[0], 1))
+    for k in range(w.shape[0]):
+        out += x[:, k, None] * w[k]
+    return out
+
+
+class BatchMajorNeural(ra.NeuralMechanism):
+    """The neural passes with activations kept (B, features), a reference
+    for the feature-major kernel: the same products, added in the same order."""
+
+    def _forward(self, batch):
+        spec, (B, n, m) = self.spec, batch.shape
+        h = np.tanh(_batch_major_affine(batch.reshape(B, n * m), spec.weights_in, spec.bias_in))
+        scores = _batch_major_affine(h, spec.weights_alloc, spec.bias_alloc).reshape(B, n + 1, m)
+        e = np.exp(scores - scores.max(axis=1, keepdims=True))
+        g_full = e / e.sum(axis=1, keepdims=True)
+        sig = 1.0 / (1.0 + np.exp(-_batch_major_affine(h, spec.weights_pay, spec.bias_pay)))
+        alloc = g_full[:, :n, :]
+        reported = (alloc * batch).sum(axis=2)
+        return h, g_full, sig, reported, alloc, sig * reported
+
+    def _run_batch(self, batch):
+        return self._forward(batch)[4:]
+
+    def _gradient_batch(self, batch, bidder, v):
+        spec, (B, n, m) = self.spec, batch.shape
+        h, g_full, sig, reported, alloc, pay = self._forward(batch)
+        self._charge(B)
+        own = (slice(None), bidder) if np.ndim(bidder) == 0 else (np.arange(B), bidder)
+        gb, sig_b = g_full[own], sig[own]
+        u = (alloc[own] * v).sum(axis=1) - pay[own]
+        w = v - sig_b[:, None] * batch[own]
+        d_scores = -(w * gb)[:, None, :] * g_full
+        d_scores[own] += w * gb
+        dudz = -sig_b * (1.0 - sig_b) * reported[own]
+        d_flat = d_scores.reshape(B, (n + 1) * m)
+        r_h = np.zeros((B, spec.hidden_width))
+        for c in range(d_flat.shape[1]):
+            r_h += d_flat[:, c, None] * spec.weights_alloc[None, :, c]
+        r_h += dudz[:, None] * spec.weights_pay.T[bidder]
+        t = (1.0 - h * h) * r_h
+        w_in_own = spec.weights_in.reshape(n, m, spec.hidden_width).transpose(0, 2, 1)
+        own_w_in = np.broadcast_to(w_in_own[bidder], (B, spec.hidden_width, m))
+        grad = np.zeros((B, m))
+        for a in range(t.shape[1]):
+            grad += t[:, a, None] * own_w_in[:, a, :]
+        grad -= sig_b[:, None] * gb
+        return u, grad
+
+
+@st.composite
+def kernel_cases(draw):
+    """(n, m, hidden width, B, spec seed, per-row bidders, per-row valuations)."""
+    return (draw(st.integers(1, 4)), draw(st.integers(1, 10)), draw(st.integers(1, 20)),
+            draw(st.sampled_from([1, 2, 48, 1001])), draw(st.integers(0, 2**31 - 1)),
+            draw(st.booleans()), draw(st.booleans()))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=kernel_cases())
+# m >= 8: numpy sums the m items pairwise, which only a contiguous axis matches
+@example(case=(2, 9, 16, 1001, 3, True, False))
+@example(case=(3, 10, 5, 48, 4, False, True))
+# one item and n + 1 >= 8 outcomes: the softmax total is a pairwise sum too
+@example(case=(8, 1, 6, 48, 5, True, True))
+def test_neural_kernel_bitwise_equal_batch_major(case):
+    n, m, width, B, seed, per_row_bidder, per_row_v = case
+    spec = ra.generate_neural_spec(ra.AuctionSetting(n, m), width, seed)
+    kernel, reference = ra.load_neural_mechanism(spec), BatchMajorNeural(spec)
+    g = np.random.default_rng(seed)
+    batch = g.random((B, n, m))
+    batch[g.random(batch.shape) < 0.1] = 0.0
+    for got, want in zip(kernel.run_many(batch), reference.run_many(batch)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    bidder = g.integers(0, n, B) if per_row_bidder else int(g.integers(0, n))
+    v = g.random((B, m) if per_row_v else m)
+    for got, want in zip(kernel.utility_and_gradient_many(batch, bidder, v),
+                         reference.utility_and_gradient_many(batch, bidder, v)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert kernel.evaluations == reference.evaluations == 2 * B
+
+
+GOLDEN_REPORT = json.loads(
+    (Path(__file__).parent / "data" / "report_neural_2x2_seed42.json").read_text())
+
+
+def _report_paths(node, path=()):
+    """Every node of a report's JSON tree but the free-form ``config``."""
+    yield path
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        if path or key != "config":
+            yield from _report_paths(child, path + (key,))
+
+
+DELETE = object()
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(path=st.sampled_from(list(_report_paths(GOLDEN_REPORT))),
+       mutation=st.sampled_from([DELETE, "junk", [], {}, float("nan"), -1]))
+def test_mutated_report_is_rejected_or_equal(path, mutation, tmp_path):
+    root = {"report": copy.deepcopy(GOLDEN_REPORT)}
+    path = ("report",) + path
+    parent = root
+    for key in path[:-1]:
+        parent = parent[key]
+    if mutation is not DELETE:
+        parent[path[-1]] = mutation
+    elif isinstance(parent, dict) and len(path) > 1:
+        del parent[path[-1]]
+    else:
+        return  # only keys of the report's objects can go
+    data = root["report"]
+    target = tmp_path / "mutated.json"
+    target.write_text(json.dumps(data))
+    try:
+        loaded = ra.read_report(target)
+    except ra.ReportFormatError:
+        return
+    assert report_to_dict(loaded) == GOLDEN_REPORT
