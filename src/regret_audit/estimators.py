@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import BudgetExceededError, InvalidInputError
-from .mechanisms import Mechanism, as_profile, check_bidder, check_int, evaluate_misreports
+from .mechanisms import Mechanism, check_int, check_query
 
 DEFAULT_EVAL_BUDGET = 10**8
 _SCAN_CHUNK = 8192
@@ -95,9 +95,9 @@ class RegretEstimate:
 def _prepare(mech: Mechanism, profile, bidder: int):
     """Every estimator's preamble: the validated profile and the truthful
     utility (one evaluation) that every gain is measured against."""
-    profile = as_profile(profile, mech.setting)
-    check_bidder(mech.setting, bidder)
-    base = float(evaluate_misreports(mech, profile, bidder, profile[bidder][None, :])[0])
+    profiles, rows, v = check_query(mech.setting, [profile], bidder)
+    profile = profiles[0]
+    base = float(mech._misreport_utilities(profile, bidder, rows, v)[0])
     if not np.isfinite(base):
         raise InvalidInputError(
             f"mechanism gives bidder {bidder} a non-finite truthful utility ({base})")
@@ -156,7 +156,7 @@ def _grid_best(mech: Mechanism, profile: np.ndarray, bidder: int, base: float, a
     utility raises InvalidInputError: a NaN would otherwise drop out of the
     argmax and leave a false 0.0. The estimator checked the profile and
     bidder once (``_prepare``), and grid rows lie in [0, 1], so the chunks
-    go to the mechanism's hook without ``evaluate_misreports``' checks.
+    go to the mechanism's hook unchecked.
     """
     truthful = profile[bidder]
     sizes = tuple(len(axis) for axis in axes)

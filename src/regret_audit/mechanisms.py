@@ -51,25 +51,63 @@ def _check_values(arr: np.ndarray, what: str) -> None:
 
 def as_profile(values, setting: AuctionSetting) -> np.ndarray:
     """Validate and return an (n, m) float64 bid/valuation profile."""
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.shape != (setting.n, setting.m):
-        raise InvalidInputError(
-            f"profile shape {arr.shape} does not match setting ({setting.n}, {setting.m})"
-        )
-    _check_values(arr, "profile entries")
-    return arr
+    return check_query(setting, [values], 0)[0][0]
 
 
-def check_bidder(setting: AuctionSetting, bidder) -> None:
-    """Raise InvalidInputError unless ``bidder`` (an int, checked in O(1), or
-    an integer array of per-row indices) names bidders of the setting."""
+def check_query(setting: AuctionSetting, profile, bidder, rows=None, valuation_row=None):
+    """The checked float64 ``(profile, rows, v)`` of a mechanism query, else
+    InvalidInputError. A query is
+
+    * ``profile``: one (n, m) profile, or one per row, (B, n, m);
+    * ``bidder``: an int (checked in O(1)), or one per row;
+    * ``rows``: (B, m) candidate bid rows in [0, 1]; without them the rows
+      are each profile's row of its bidder, so ``profile`` must be a stack
+      (one profile is checked as the stack ``[profile]``);
+    * ``valuation_row``: (m,) or (B, m) in [0, 1]; by default each row's
+      truthful row.
+
+    The exported entries check their arguments here, once; code below them
+    calls the mechanism's hooks with the checked arrays.
+    """
+    n, m = setting.n, setting.m
+    profile = np.asarray(profile, dtype=np.float64)
+    if rows is None:
+        B = len(profile) if profile.ndim == 3 else 0
+        forms = ((B, n, m),)
+    else:
+        rows = np.asarray(rows, dtype=np.float64)
+        if rows.ndim != 2 or rows.shape[1] != m:
+            raise InvalidInputError(f"misreport rows shape {rows.shape} != (B, {m})")
+        B = len(rows)
+        forms = ((n, m), (B, n, m))
+    if profile.shape not in forms:
+        want = f"a stack (B, {n}, {m})" if rows is None else f"({n}, {m}) or ({B}, {n}, {m})"
+        raise InvalidInputError(f"profile shape {profile.shape} does not match {want}")
     if isinstance(bidder, numbers.Integral) and not isinstance(bidder, bool):
-        valid = 0 <= bidder < setting.n
+        valid = 0 <= bidder < n
     else:
         index = np.asarray(bidder)
-        valid = index.dtype.kind in "iu" and ((index >= 0) & (index < setting.n)).all()
+        valid = index.dtype.kind in "iu" and ((index >= 0) & (index < n)).all()
+        if valid and index.shape not in ((), (B,)):
+            raise InvalidInputError(f"bidder shape {index.shape} != ({B},): one per row")
     if not valid:
-        raise InvalidInputError(f"bidder {bidder} out of range for n={setting.n}")
+        raise InvalidInputError(f"bidder {bidder} out of range for n={n}")
+    _check_values(profile, "profile entries")
+    if rows is not None and rows.size and not (rows.min() >= 0.0 and rows.max() <= 1.0):
+        i = int(np.argmin(((rows >= 0.0) & (rows <= 1.0)).all(axis=1)))
+        raise InvalidInputError(f"misreport row {rows[i].tolist()} of bidder "
+                                f"{np.broadcast_to(bidder, (B,))[i]} is not in [0, 1]")
+    if rows is None or valuation_row is None:
+        stack = profile if profile.ndim == 3 else np.broadcast_to(profile, (B, n, m))
+        truthful = stack[_own(B, bidder)]
+        rows = truthful if rows is None else rows
+    if valuation_row is None:
+        return profile, rows, truthful
+    v = np.asarray(valuation_row, dtype=np.float64)
+    if v.shape not in ((m,), (B, m)):
+        raise InvalidInputError(f"valuation row shape {v.shape} != ({m},) or ({B}, {m})")
+    _check_values(v, "valuations")
+    return profile, rows, v
 
 
 class Mechanism:
@@ -112,35 +150,18 @@ class Mechanism:
         with self._eval_lock:
             self._evals += count
 
-    def _check_batch(self, batch) -> np.ndarray:
-        batch = np.asarray(batch, dtype=np.float64)
-        n, m = self.setting.n, self.setting.m
-        if batch.ndim != 3 or batch.shape[1:] != (n, m):
-            raise InvalidInputError(
-                f"bid batch shape {batch.shape} does not match (B, {n}, {m})"
-            )
-        _check_values(batch, "bids")
-        return batch
-
     def utility_and_gradient_many(self, batch, bidder, valuation_row):
         """Utilities (B,) and their gradients (B, m) w.r.t. each row's bidder's
-        own bid row; ``bidder`` is an int or one per row, ``valuation_row`` an
-        (m,) row or one per row. Checks the arguments and calls
-        ``_gradient_batch``."""
-        batch = self._check_batch(batch)
-        check_bidder(self.setting, bidder)
-        B, m = batch.shape[0], self.setting.m
-        v = np.asarray(valuation_row, dtype=np.float64)
-        if v.shape not in ((m,), (B, m)):
-            raise InvalidInputError(f"valuation row shape {v.shape} != ({m},) or ({B}, {m})")
-        _check_values(v, "valuations")
+        own bid row of a (B, n, m) batch; ``bidder`` and ``valuation_row`` as
+        in ``check_query``. Checks the arguments and calls ``_gradient_batch``."""
+        batch, _, v = check_query(self.setting, batch, bidder, valuation_row=valuation_row)
         return self._gradient_batch(batch, bidder, v)
 
     def _gradient_batch(self, batch: np.ndarray, bidder, v: np.ndarray):
         """Central finite differences, 2m+1 evaluations per profile; an
         analytic gradient overrides this hook and ``_charge``s its passes."""
         rows = batch[_own(batch.shape[0], bidder)]
-        return (evaluate_misreports(self, batch, bidder, rows, valuation_row=v),
+        return (self._misreport_utilities(batch, bidder, rows, v),
                 fd_gradient_rows(self, batch, bidder, rows, valuation_row=v))
 
     def _misreport_utilities(self, profile: np.ndarray, bidder, rows: np.ndarray,
@@ -163,7 +184,7 @@ class Mechanism:
         Equivalent to B independent ``run`` calls: every built-in computes each
         batch row independently, so results do not depend on the batch layout.
         """
-        batch = self._check_batch(batch)
+        batch = check_query(self.setting, batch, 0)[0]  # every setting has a bidder 0
         alloc, pay = self._run_batch(batch)
         self._charge(batch.shape[0])
         return alloc, pay
@@ -476,38 +497,25 @@ def rows_to_profiles(profile: np.ndarray, bidder, rows: np.ndarray) -> np.ndarra
 def evaluate_misreports(mech: Mechanism, profile: np.ndarray, bidder,
                         rows: np.ndarray, valuation_row=None) -> np.ndarray:
     """Utilities of candidate bid rows, each for its bidder, others as in
-    its profile (shapes as in ``rows_to_profiles``).
+    its profile; the arguments are a query as in ``check_query``.
 
-    ``valuation_row`` (one row, or one per candidate) defaults to each
-    bidder's truthful row. Costs one mechanism evaluation per candidate row,
-    through the mechanism's ``_misreport_utilities``. A bidder out of range,
-    or a candidate row, profile or valuation not in [0, 1], raises
-    InvalidInputError.
+    Costs one mechanism evaluation per candidate row, through the
+    mechanism's ``_misreport_utilities``.
     """
-    check_bidder(mech.setting, bidder)
-    _check_values(profile, "profile entries")
-    if rows.size and not (rows.min() >= 0.0 and rows.max() <= 1.0):
-        i = int(np.argmin(((rows >= 0.0) & (rows <= 1.0)).all(axis=1)))
-        raise InvalidInputError(f"misreport row {rows[i].tolist()} of bidder "
-                                f"{np.broadcast_to(bidder, rows.shape[:1])[i]} is not in [0, 1]")
-    own = _own(rows.shape[0], bidder)
-    if valuation_row is None:
-        v = np.broadcast_to(profile, (rows.shape[0],) + profile.shape[-2:])[own]
-    else:
-        v = np.asarray(valuation_row, dtype=np.float64)
-        _check_values(v, "valuations")
+    profile, rows, v = check_query(mech.setting, profile, bidder, rows, valuation_row)
     return mech._misreport_utilities(profile, bidder, rows, v)
 
 
 def fd_gradient_rows(mech: Mechanism, profile: np.ndarray, bidder,
                      rows: np.ndarray, valuation_row=None) -> np.ndarray:
     """Central finite-difference utility gradients for a stack of bid rows
-    (shapes as in ``evaluate_misreports``).
+    (a query as in ``evaluate_misreports``).
 
     Probe points are clamped to [0, 1], degrading to one-sided differences at
-    the boundary. Costs 2*m evaluations per row.
+    the boundary. All 2*m probes of every row go to the mechanism in one
+    call, so they cost 2*m evaluations per row.
     """
-    rows = np.asarray(rows, dtype=np.float64)
+    profile, rows, v = check_query(mech.setting, profile, bidder, rows, valuation_row)
     B, m = rows.shape
     hi = np.minimum(rows + FD_STEP, 1.0)
     lo = np.maximum(rows - FD_STEP, 0.0)
@@ -520,31 +528,22 @@ def fd_gradient_rows(mech: Mechanism, profile: np.ndarray, bidder,
         """``a``, one entry per row, repeated for each of the row's 2m probes."""
         return np.repeat(np.broadcast_to(a, (B,) + shape), 2 * m, axis=0)
 
-    profiles = per_probe(profile, profile.shape[-2:])
-    if valuation_row is not None:
-        valuation_row = per_probe(np.asarray(valuation_row, dtype=np.float64), (m,))
-    u = evaluate_misreports(mech, profiles, per_probe(bidder, ()),
-                            probes.reshape(B * m * 2, m), valuation_row=valuation_row)
+    u = mech._misreport_utilities(per_probe(profile, profile.shape[-2:]), per_probe(bidder, ()),
+                                  probes.reshape(B * m * 2, m), per_probe(v, (m,)))
     u = u.reshape(B, m, 2)
     return (u[:, :, 0] - u[:, :, 1]) / (hi - lo)
 
 
 def utility(mech: Mechanism, valuation_row, bids, bidder: int) -> float:
     """Additive utility: sum_j v_j * g_[bidder,j](bids) - p_[bidder](bids)."""
-    m = mech.setting.m
-    check_bidder(mech.setting, bidder)
-    v = np.asarray(valuation_row, dtype=np.float64)
-    if v.shape != (m,):
-        raise InvalidInputError(f"valuation row shape {v.shape} != ({m},)")
-    _check_values(v, "valuations")
-    alloc, pay = mech.run(bids)
-    return float((alloc[bidder] * v).sum() - pay[bidder])
+    profile, _, v = check_query(mech.setting, [bids], bidder, valuation_row=valuation_row)
+    alloc, pay = mech.run_many(profile)
+    return float((alloc[0, bidder] * v).sum() - pay[0, bidder])
 
 
 def utility_gradient(mech: Mechanism, valuation_row, bids, bidder: int) -> np.ndarray:
     """Gradient of the bidder's utility w.r.t. its own bid row: analytic where
     the mechanism overrides ``_gradient_batch``, else central finite
     differences with step 1e-5 and boundary clamping."""
-    bids = as_profile(bids, mech.setting)
-    _, grad = mech.utility_and_gradient_many(bids[None, ...], bidder, valuation_row)
+    _, grad = mech.utility_and_gradient_many([bids], bidder, valuation_row)
     return grad[0]

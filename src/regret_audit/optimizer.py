@@ -32,12 +32,11 @@ from .estimators import (
     _scan_all_items,
 )
 from .mechanisms import (
+    AuctionSetting,
     Mechanism,
     _check_values,
-    as_profile,
-    check_bidder,
     check_int,
-    evaluate_misreports,
+    check_query,
     rows_to_profiles,
     # importable here, where perfbench/tracer.py binds its span
     fd_gradient_rows,  # noqa: F401
@@ -53,10 +52,15 @@ class PgaConfig:
     big_r: int
 
     def __post_init__(self):
-        if not self.gamma > 0:
-            raise InvalidInputError(f"gamma must be > 0, got {self.gamma}")
+        _check_gamma(self.gamma)
         check_int(self.big_l, "big_l", 1)
         check_int(self.big_r, "big_r", 1)
+
+
+def _check_gamma(gamma) -> None:
+    # an infinite step turns a zero gradient entry into a NaN iterate
+    if not 0 < gamma < np.inf:
+        raise InvalidInputError(f"gamma must be finite and > 0, got {gamma}")
 
 
 #: evaluation-protocol presets used by the published deep-auction models
@@ -127,7 +131,7 @@ def _ascend(mech: Mechanism, profiles: np.ndarray, bidders: np.ndarray, starts: 
     def evaluate(rows, last):
         """Utilities of the rows, and their gradients unless no step follows."""
         if last:
-            return evaluate_misreports(mech, profiles, bidders, rows), None
+            return mech._misreport_utilities(profiles, bidders, rows, v), None
         return mech.utility_and_gradient_many(
             rows_to_profiles(profiles, bidders, rows), bidders, v)
 
@@ -246,14 +250,14 @@ def pga_single(mech: Mechanism, profile, bidder: int, start, gamma: float,
 
     ``best_utility`` is never below the start's utility.
     """
-    profile = as_profile(profile, mech.setting)
-    check_bidder(mech.setting, bidder)
+    profiles = check_query(mech.setting, [profile], bidder)[0]
+    _check_gamma(gamma)
     start = np.asarray(start, dtype=np.float64)
     if start.shape != (mech.setting.m,):
         raise InvalidInputError(f"start shape {start.shape} != ({mech.setting.m},)")
     _check_values(start, "start")
     evals0 = mech.evaluations
-    best_x, best_u, _ = _ascend(mech, profile[None], np.array([bidder]), start[None, :],
+    best_x, best_u, _ = _ascend(mech, profiles, np.array([bidder]), start[None, :],
                                 gamma, big_r)
     return best_x[0], float(best_u[0]), mech.evaluations - evals0
 
@@ -295,13 +299,14 @@ def build_portfolio(profile, bidder: int, item_argmaxes, cfg: PortfolioConfig,
     after drawing (no rejection loops); with k = 0 no random stream is
     consumed.
     """
-    profile = np.asarray(profile, dtype=np.float64)
-    truthful = profile[bidder]
-    m = truthful.shape[0]
     comb = np.asarray(item_argmaxes, dtype=np.float64)
-    if comb.shape != (m,):
-        raise InvalidInputError(f"item_argmaxes shape {comb.shape} != ({m},)")
+    if comb.ndim != 1:
+        raise InvalidInputError(f"item_argmaxes shape {comb.shape} is not (m,)")
     _check_values(comb, "item_argmaxes")
+    # n is the profile's row count; check_query holds the profile to (n, m)
+    setting = AuctionSetting(len(profile) if np.ndim(profile) else 0, len(comb))
+    truthful = check_query(setting, [profile], bidder)[1][0]
+    m = len(comb)
 
     single = np.tile(truthful, (m, 1))
     single[np.arange(m), np.arange(m)] = comb

@@ -8,15 +8,24 @@ deterministic functions of the run configuration.
 
 from __future__ import annotations
 
+import itertools
 import numbers
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List
 
 import numpy as np
 
 from .errors import InvalidConfigError, InvalidInputError, ReportFormatError
-from .estimators import RegretEstimate
-from .mechanisms import _check_values, check_format, check_int, read_json, write_json
+from .estimators import METHOD_ITEM, RegretEstimate
+from .mechanisms import (
+    AuctionSetting,
+    _check_values,
+    check_format,
+    check_int,
+    read_json,
+    write_json,
+)
 
 REPORT_FORMAT_VERSION = 1
 
@@ -156,21 +165,46 @@ def report_from_dict(data: dict) -> AuditReport:
 
 
 def validate_report(report: AuditReport) -> None:
+    """Raise InvalidConfigError unless the report fits its own config: one
+    record per (sample, bidder, method), or m for ``item``, that fit the
+    setting, with totals and means recomputable from them."""
     if report.samples < 1:
         raise InvalidConfigError("a report must cover at least one sample")
     if not report.records:
         raise InvalidConfigError("a report must contain records")
-    past = [rec.sample for rec in report.records if rec.sample >= report.samples]
-    if past:
-        raise InvalidConfigError(f"record sample {past[0]} out of range: samples={report.samples}")
-    strays = [rec.estimate.method for rec in report.records
-              if rec.estimate.method not in report.methods]
-    if strays:
-        raise InvalidConfigError(
-            f"record method {strays[0]!r} is not one of {list(report.methods)}")
+    try:
+        setting = AuctionSetting(report.config["setting"]["n"], report.config["setting"]["m"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidConfigError(f"report config has no valid setting: {exc!r}") from exc
+    for rec in report.records:
+        est = rec.estimate
+        if rec.sample >= report.samples:
+            raise InvalidConfigError(
+                f"record sample {rec.sample} out of range: samples={report.samples}")
+        if est.bidder >= setting.n:
+            raise InvalidConfigError(f"record bidder {est.bidder} out of range for n={setting.n}")
+        if est.best_misreport is not None and len(est.best_misreport) != setting.m:
+            raise InvalidConfigError(f"record best_misreport {est.best_misreport.tolist()} "
+                                     f"is not a row of m={setting.m} bids")
+        if est.method not in report.methods:
+            raise InvalidConfigError(
+                f"record method {est.method!r} is not one of {list(report.methods)}")
     if set(report.method_means) != set(report.methods):
         raise InvalidConfigError(f"method_means names {list(report.method_means)}, "
                                  f"expected the methods {list(report.methods)}")
+    counts = Counter((rec.sample, rec.estimate.bidder, rec.estimate.method)
+                     for rec in report.records)
+    for cell in itertools.product(range(report.samples), range(setting.n), report.methods):
+        expected = setting.m if cell[2] == METHOD_ITEM else 1
+        if counts[cell] != expected:
+            raise InvalidConfigError(f"{counts[cell]} records for (sample, bidder, method) "
+                                     f"{cell}, expected {expected}")
+    for total, field in (("total_mech_evals", "mech_evals"),
+                         ("total_gradient_steps", "gradient_steps")):
+        summed = sum(getattr(rec.estimate, field) for rec in report.records)
+        if getattr(report, total) != summed:
+            raise InvalidConfigError(f"{total} {getattr(report, total)} is not the records' "
+                                     f"sum of {field}, {summed}")
     # means stay recomputable from the records
     recomputed = compute_method_means(report.records, report.samples, report.methods)
     for method, mean in report.method_means.items():

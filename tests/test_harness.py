@@ -1,5 +1,6 @@
 """Audit orchestration, reports, sweeps, worker determinism."""
 
+import copy
 import importlib.util
 import json
 from dataclasses import replace
@@ -462,6 +463,17 @@ class TestReportIO:
             # a record past the sample count used to load
             ({**data, "records": [*data["records"], {**data["records"][0], "sample": 2}]},
              "malformed.*sample 2 out of range"),
+            # nor did these records and totals, which do not fit the report
+            ({**data, "total_mech_evals": 1}, "malformed.*total_mech_evals 1 is not"),
+            ({**data, "total_gradient_steps": 123456},
+             "malformed.*total_gradient_steps 123456 is not"),
+            ({**data, "records": [{**data["records"][0], "bidder": 7}, *data["records"][1:]]},
+             "malformed.*bidder 7 out of range"),
+            ({**data, "records": [{**data["records"][0], "best_misreport": [0.1, 0.2, 0.3]},
+                                  *data["records"][1:]]},
+             r"malformed.*\[0.1, 0.2, 0.3\] is not a row of m=2"),
+            ({**data, "records": [*data["records"], data["records"][0]]},
+             r"malformed.*2 records for .*\(0, 0, 'lower_bound'\), expected 1"),
         ]
         for bad, match in cases:
             path.write_text(json.dumps(bad))
@@ -485,6 +497,27 @@ class TestReportIO:
         with pytest.raises(ra.InvalidConfigError, match="sample 5 out of range"):
             ra.write_report(report, tmp_path / "r.json")
         assert not (tmp_path / "r.json").exists()
+
+    def test_records_must_fit_the_report_at_write(self, tmp_path):
+        # each of these reports used to be written, and read back
+        report = ra.run_audit(small_cfg(samples=2))
+        mutations = [
+            (lambda r: setattr(r, "total_mech_evals", 1), "total_mech_evals 1 is not"),
+            (lambda r: setattr(r, "total_gradient_steps", r.total_gradient_steps + 1),
+             "total_gradient_steps .* is not"),
+            (lambda r: setattr(r.records[0].estimate, "bidder", 7), "bidder 7 out of range"),
+            (lambda r: setattr(r.records[0].estimate, "best_misreport", np.zeros(3)),
+             "is not a row of m=2"),
+            (lambda r: r.records.append(r.records[0]), "2 records for"),
+            (lambda r: r.records.pop(), "0 records for"),
+            (lambda r: r.config.pop("setting"), "no valid setting"),
+        ]
+        for mutate, match in mutations:
+            bad = copy.deepcopy(report)
+            mutate(bad)
+            with pytest.raises(ra.InvalidConfigError, match=match):
+                ra.write_report(bad, tmp_path / "r.json")
+            assert not (tmp_path / "r.json").exists()
 
     def test_means_recomputable_check(self, tmp_path):
         report = ra.run_audit(small_cfg(samples=2))

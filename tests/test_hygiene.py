@@ -1,11 +1,15 @@
-"""Source hygiene: every name a package module imports is used there."""
+"""Source hygiene: every name a package module imports is used there, and
+every name the benchmark tracer binds exists."""
 
 import ast
+import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "regret_audit"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "regret_audit"
 #: __init__.py imports names to re-export them
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
@@ -35,3 +39,30 @@ def test_every_import_is_used(path):
 def test_check_sees_unused_and_marked_imports():
     source = "import json\nimport os  # noqa: F401\nfrom typing import List\nx: List = []\n"
     assert unused_imports(source) == [(1, "json")]
+
+
+def marked_imports(source: str):
+    """Names imported in ``source`` on lines marked ``# noqa``."""
+    lines = source.splitlines()
+    return {alias.asname or alias.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names
+            if "# noqa" in lines[alias.lineno - 1]}
+
+
+def test_tracer_targets_resolve_and_explain_every_marked_import():
+    # perfbench/tracer.py rebinds these names from outside the package; a
+    # renamed one breaks --trace 1, and a marked import it no longer binds
+    # is a shim left behind
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    bound = set()
+    for owner, attr, *_ in tracer.TARGETS:
+        assert Path(inspect.getfile(owner)).parent == PACKAGE
+        assert callable(getattr(owner, attr, None)), f"{owner.__name__}.{attr}"
+        if inspect.ismodule(owner):
+            bound.add((owner.__name__, attr))
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = f"regret_audit.{path.stem}"
+        for name in marked_imports(path.read_text(encoding="utf-8")):
+            assert (module, name) in bound, f"{module}.{name} is imported for no tracer target"

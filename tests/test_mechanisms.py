@@ -19,6 +19,20 @@ GRADIENT_MECHANISMS = {
 }
 GOLDEN = json.loads((Path(__file__).parent / "data" / "neural_2x2_seed42.json").read_text())
 
+PROFILE_2X2 = np.array([[0.3, 0.4], [0.2, 0.5]])
+ROWS_2X2 = np.array([[0.3, 0.4], [0.6, 0.1]])
+#: malformed queries on a 2x2 setting, as (profile, bidder, rows, valuation). On
+#: first price, evaluate_misreports scored the first with a phantom third
+#: bidder winning both items, and the others raised raw numpy errors.
+MALFORMED_QUERIES = {
+    "three_bidder_profile": (np.vstack([PROFILE_2X2, [[0.9, 0.9]]]), 0, ROWS_2X2, None),
+    "rows_of_three_items": (PROFILE_2X2, 0, np.array([[0.3, 0.4, 0.5]]), None),
+    "one_dimensional_rows": (PROFILE_2X2, 0, np.array([0.3, 0.4]), None),
+    "three_item_valuation": (PROFILE_2X2, 0, ROWS_2X2, [0.5, 0.5, 0.5]),
+    "one_dimensional_profile": (np.array([0.3, 0.4]), 0, ROWS_2X2, None),
+    "three_bidders_for_two_rows": (PROFILE_2X2, np.array([0, 1, 0]), ROWS_2X2, None),
+}
+
 
 class TestSetting:
     def test_rejects_degenerate_counts(self):
@@ -188,6 +202,24 @@ class TestMechanismProperties:
         for bad in ([[7.0, 0.4], [0.2, -9.5]], [[0.3, 0.4], [np.nan, 0.5]]):
             with pytest.raises(ra.InvalidInputError, match="profile entries"):
                 ra.evaluate_misreports(mech, np.array(bad), 0, row)
+        assert mech.evaluations == 0
+
+    @pytest.mark.parametrize("kind", ["first_price", "neural"])
+    @pytest.mark.parametrize("case", MALFORMED_QUERIES)
+    def test_malformed_query_rejected_by_every_entry(self, kind, case):
+        mech = GRADIENT_MECHANISMS[kind](ra.AuctionSetting(2, 2))
+        profile, bidder, rows, valuation = MALFORMED_QUERIES[case]
+        calls = [lambda: ra.evaluate_misreports(mech, profile, bidder, rows, valuation),
+                 lambda: fd_gradient_rows(mech, profile, bidder, rows, valuation)]
+        if rows is ROWS_2X2:  # the entries without candidate rows
+            v = PROFILE_2X2[0] if valuation is None else valuation
+            calls.append(lambda: mech.utility_and_gradient_many([profile] * 2, bidder, v))
+            if np.ndim(bidder) == 0:
+                calls += [lambda: ra.utility(mech, v, profile, bidder),
+                          lambda: ra.utility_gradient(mech, v, profile, bidder)]
+        for call in calls:
+            with pytest.raises(ra.InvalidInputError):
+                call()
         assert mech.evaluations == 0
 
 

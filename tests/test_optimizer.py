@@ -20,6 +20,18 @@ class TestConfigs:
         with pytest.raises(ra.InvalidInputError, match="must be an integer"):
             ra.PgaConfig(gamma=0.1, big_l=2.5, big_r=1)
 
+    @pytest.mark.parametrize("gamma", [np.inf, np.nan, -0.1])
+    def test_step_size_must_be_finite_and_positive(self, gamma):
+        # an infinite step made the iterate NaN wherever the gradient was 0
+        setting = ra.AuctionSetting(2, 2)
+        mech = ra.PerItemFirstPriceAuction(setting)
+        with pytest.raises(ra.InvalidInputError, match="gamma must be finite"):
+            ra.PgaConfig(gamma=gamma, big_l=1, big_r=1)
+        with pytest.raises(ra.InvalidInputError, match="gamma must be finite"):
+            ra.pga_single(mech, uniform_profile(setting, 0, 7), 0, [0.5, 0.5],
+                          gamma=gamma, big_r=1)
+        assert mech.evaluations == 0
+
     def test_pga_presets(self):
         assert ra.PGA_PRESETS["regretnet"] == ra.PgaConfig(0.1, 1000, 2000)
         assert ra.PGA_PRESETS["algnet"] == ra.PgaConfig(0.001, 300, 300)
@@ -272,6 +284,17 @@ class TestPortfolio:
         profile = np.array([[0.4, 0.7], [0.2, 0.9]])
         with pytest.raises(ra.InvalidInputError, match="item_argmaxes must be finite"):
             ra.build_portfolio(profile, 0, optima, ra.PortfolioConfig(k=0), seed=1)
+
+    @pytest.mark.parametrize("profile,bidder", [
+        ([[0.4, 0.7], [0.2, 0.9]], 5),  # used to raise a raw IndexError
+        ([[0.4, 0.7], [0.2, 0.9]], -1),  # used to build on bidder 1's row
+        ([[0.4, 1.7], [0.2, 0.9]], 0),  # used to build on an out-of-box row
+        ([0.4, 0.7], 0),
+        ([[0.4, 0.7, 0.1], [0.2, 0.9, 0.3]], 0),
+    ])
+    def test_malformed_profile_or_bidder_rejected(self, profile, bidder):
+        with pytest.raises(ra.InvalidInputError):
+            ra.build_portfolio(profile, bidder, [0.1, 0.7], ra.PortfolioConfig(k=0), seed=1)
 
     def test_determinism(self):
         profile = np.array([[0.4, 0.7], [0.2, 0.9]])
