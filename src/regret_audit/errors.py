@@ -1,8 +1,11 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the number checks that raise them.
 
 CLI exit codes: invalid inputs/config map to 2, grid budget overruns to 3,
 and I/O or report-format failures to 4.
 """
+
+import math
+import numbers
 
 
 class AuditError(Exception):
@@ -39,3 +42,19 @@ class BudgetExceededError(AuditError):
 
 class ReportFormatError(AuditError):
     """A persisted report is malformed or has an unsupported format version."""
+
+
+def check_int(value, what: str, minimum: int, error=InvalidInputError) -> None:
+    """Raise ``error`` unless ``value`` is an integer (no float, no bool) >= ``minimum``."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < minimum:
+        raise error(f"{what} must be an integer >= {minimum}, got {value!r}")
+
+
+def check_float(value, what: str, positive: bool = False, error=InvalidInputError) -> float:
+    """``value`` as a float; ``error`` unless it is a finite number (no bool,
+    no string) >= 0, or > 0 when ``positive``."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise error(f"{what} must be a number, got {value!r}")
+    if not (value > 0.0 if positive else value >= 0.0) or not math.isfinite(value):
+        raise error(f"{what} must be finite and {'>' if positive else '>='} 0, got {value!r}")
+    return float(value)

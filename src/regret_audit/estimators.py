@@ -27,8 +27,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BudgetExceededError, InvalidInputError
-from .mechanisms import Mechanism, check_int, check_query
+from .errors import BudgetExceededError, InvalidInputError, check_float, check_int
+from .mechanisms import Mechanism, check_query
 
 DEFAULT_EVAL_BUDGET = 10**8
 _SCAN_CHUNK = 8192
@@ -86,10 +86,10 @@ class RegretEstimate:
     def __post_init__(self):
         for name in ("bidder", "mech_evals", "gradient_steps"):
             check_int(getattr(self, name), name, 0)
+        self.value = check_float(self.value, "value")
+        self.wall_seconds = check_float(self.wall_seconds, "wall_seconds")
         if not isinstance(self.flagged, bool):
             raise InvalidInputError(f"flagged must be a bool, got {self.flagged!r}")
-        if not self.value >= 0.0:
-            raise InvalidInputError(f"regret estimate must be >= 0, got {self.value}")
 
 
 def _prepare(mech: Mechanism, profile, bidder: int):
@@ -188,6 +188,7 @@ def _grid_best(mech: Mechanism, profile: np.ndarray, bidder: int, base: float, a
 def _check_budget(max_evals: int, scan_rows) -> None:
     """Refuse, before any evaluation, a worst case over ``max_evals``: the
     truthful evaluation, and per grid scan its rows and an off-grid truthful row."""
+    check_int(max_evals, "max_evals", 1)
     required = 1 + sum(rows + 1 for rows in scan_rows)
     if required > max_evals:
         raise BudgetExceededError(required=required, budget=max_evals)
@@ -237,7 +238,8 @@ def item_regret(mech: Mechanism, profile, bidder: int, item: int, grid: GridSpec
                 scan: Optional[ItemScan] = None) -> RegretEstimate:
     """Regret from deviating on a single item, all other coordinates truthful."""
     t0 = time.perf_counter()
-    if not 0 <= item < mech.setting.m:
+    check_int(item, "item", 0)
+    if item >= mech.setting.m:
         raise InvalidInputError(f"item {item} out of range for m={mech.setting.m}")
     if scan is None:
         scan = _scan_all_items(mech, profile, bidder, grid)

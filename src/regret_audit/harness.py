@@ -23,7 +23,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import estimators, rng
-from .errors import InvalidConfigError, InvalidInputError, MechanismLoadError
+from .errors import InvalidConfigError, InvalidInputError, MechanismLoadError, check_int
 from .estimators import (
     DEFAULT_EVAL_BUDGET,
     METHOD_EXHAUSTIVE,
@@ -45,7 +45,6 @@ from .mechanisms import (
     AuctionSetting,
     Mechanism,
     NeuralMechanismSpec,
-    check_int,
     load_neural_mechanism,
     read_neural_spec,
 )
@@ -154,6 +153,8 @@ class AuditRunConfig:
 
     def __post_init__(self):
         check_int(self.samples, "samples", 1, InvalidConfigError)
+        check_int(self.seed, "seed", 0, InvalidConfigError)
+        check_int(self.max_grid_evals, "max_grid_evals", 1, InvalidConfigError)
         if not self.methods:
             raise InvalidConfigError("methods must be nonempty")
         self.methods = _canonical_methods(self.methods, RUN_METHODS, InvalidConfigError)
@@ -292,8 +293,7 @@ def resolve_workers(workers: Optional[int] = None) -> int:
             workers = int(raw)
         except ValueError:
             raise InvalidConfigError(f"{THREADS_ENV_VAR}={raw!r} is not an integer")
-    if workers < 0:
-        raise InvalidConfigError(f"worker count must be >= 0, got {workers}")
+    check_int(workers, "worker count", 0, InvalidConfigError)
     if workers == 0:
         return os.cpu_count() or 1
     return workers

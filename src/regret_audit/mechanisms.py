@@ -18,7 +18,7 @@ from typing import Tuple
 import numpy as np
 
 from . import rng
-from .errors import InvalidInputError, MechanismLoadError
+from .errors import InvalidInputError, MechanismLoadError, check_int
 
 FD_STEP = 1e-5
 
@@ -37,10 +37,13 @@ class AuctionSetting:
         check_int(self.m, "m", 1)
 
 
-def check_int(value, what: str, minimum: int, error=InvalidInputError) -> None:
-    """Raise ``error`` unless ``value`` is an integer (no float, no bool) >= ``minimum``."""
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < minimum:
-        raise error(f"{what} must be an integer >= {minimum}, got {value!r}")
+def as_floats(value, what: str) -> np.ndarray:
+    """``value`` as a float64 array, else InvalidInputError naming ``what``:
+    ragged nesting and non-numeric entries do not convert."""
+    try:
+        return np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"{what} must be a numeric array: {exc}") from exc
 
 
 def _check_values(arr: np.ndarray, what: str) -> None:
@@ -70,12 +73,12 @@ def check_query(setting: AuctionSetting, profile, bidder, rows=None, valuation_r
     calls the mechanism's hooks with the checked arrays.
     """
     n, m = setting.n, setting.m
-    profile = np.asarray(profile, dtype=np.float64)
+    profile = as_floats(profile, "profile")
     if rows is None:
         B = len(profile) if profile.ndim == 3 else 0
         forms = ((B, n, m),)
     else:
-        rows = np.asarray(rows, dtype=np.float64)
+        rows = as_floats(rows, "misreport rows")
         if rows.ndim != 2 or rows.shape[1] != m:
             raise InvalidInputError(f"misreport rows shape {rows.shape} != (B, {m})")
         B = len(rows)
@@ -103,7 +106,7 @@ def check_query(setting: AuctionSetting, profile, bidder, rows=None, valuation_r
         rows = truthful if rows is None else rows
     if valuation_row is None:
         return profile, rows, truthful
-    v = np.asarray(valuation_row, dtype=np.float64)
+    v = as_floats(valuation_row, "valuation row")
     if v.shape not in ((m,), (B, m)):
         raise InvalidInputError(f"valuation row shape {v.shape} != ({m},) or ({B}, {m})")
     _check_values(v, "valuations")
@@ -126,15 +129,17 @@ class Mechanism:
     for every worker count and equal to the standalone estimator functions.
     The hooks receive checked arguments. A ``_misreport_utilities`` override
     must equal the default up to rounding (see ``SecondPriceAuction``) and
-    charge one evaluation per row; a subclass replacing ``_run_batch`` alone
-    gets the default back, since an override describes its own class's
-    ``_run_batch``.
+    charge one evaluation per row. A subclass that replaces ``_run_batch``
+    gets the default of every other hook it does not define itself: an
+    inherited override describes its parent's ``_run_batch``, not this one.
     """
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        if "_run_batch" in cls.__dict__ and "_misreport_utilities" not in cls.__dict__:
-            cls._misreport_utilities = Mechanism._misreport_utilities
+        if "_run_batch" in cls.__dict__:
+            for hook in ("_gradient_batch", "_misreport_utilities"):
+                if hook not in cls.__dict__:
+                    setattr(cls, hook, getattr(Mechanism, hook))
 
     def __init__(self, setting: AuctionSetting):
         self.setting = setting
@@ -175,7 +180,7 @@ class Mechanism:
 
     def run(self, bids) -> Tuple[np.ndarray, np.ndarray]:
         """Evaluate one bid profile, returning (allocation, payments)."""
-        alloc, pay = self.run_many(np.asarray(bids, dtype=np.float64)[None, ...])
+        alloc, pay = self.run_many([bids])
         return alloc[0], pay[0]
 
     def run_many(self, batch) -> Tuple[np.ndarray, np.ndarray]:

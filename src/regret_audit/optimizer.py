@@ -19,7 +19,7 @@ from typing import Iterable, List, Optional, Sequence
 import numpy as np
 
 from . import rng
-from .errors import InvalidInputError
+from .errors import InvalidInputError, check_float, check_int
 from .estimators import (
     METHOD_GUIDED,
     METHOD_PGA,
@@ -35,7 +35,7 @@ from .mechanisms import (
     AuctionSetting,
     Mechanism,
     _check_values,
-    check_int,
+    as_floats,
     check_query,
     rows_to_profiles,
     # importable here, where perfbench/tracer.py binds its span
@@ -52,15 +52,10 @@ class PgaConfig:
     big_r: int
 
     def __post_init__(self):
-        _check_gamma(self.gamma)
+        # an infinite step turns a zero gradient entry into a NaN iterate
+        check_float(self.gamma, "gamma", positive=True)
         check_int(self.big_l, "big_l", 1)
         check_int(self.big_r, "big_r", 1)
-
-
-def _check_gamma(gamma) -> None:
-    # an infinite step turns a zero gradient entry into a NaN iterate
-    if not 0 < gamma < np.inf:
-        raise InvalidInputError(f"gamma must be finite and > 0, got {gamma}")
 
 
 #: evaluation-protocol presets used by the published deep-auction models
@@ -90,8 +85,8 @@ class PortfolioConfig:
 
     def __post_init__(self):
         check_int(self.k, "k", 0)
-        if self.sigma_opt < 0 or self.sigma_truth < 0:
-            raise InvalidInputError("noise scales must be >= 0")
+        check_float(self.sigma_opt, "sigma_opt")
+        check_float(self.sigma_truth, "sigma_truth")
 
     def portfolio_size(self, m: int) -> int:
         return 1 + m + 3 * self.k
@@ -251,8 +246,9 @@ def pga_single(mech: Mechanism, profile, bidder: int, start, gamma: float,
     ``best_utility`` is never below the start's utility.
     """
     profiles = check_query(mech.setting, [profile], bidder)[0]
-    _check_gamma(gamma)
-    start = np.asarray(start, dtype=np.float64)
+    check_float(gamma, "gamma", positive=True)
+    check_int(big_r, "big_r", 0)
+    start = as_floats(start, "start")
     if start.shape != (mech.setting.m,):
         raise InvalidInputError(f"start shape {start.shape} != ({mech.setting.m},)")
     _check_values(start, "start")
@@ -264,14 +260,14 @@ def pga_single(mech: Mechanism, profile, bidder: int, start, gamma: float,
 
 def pga_search(mech: Mechanism, profile, bidder: int, cfg: PgaConfig, seed: int) -> _Search:
     """The first half of ``random_restart_pga``: the truthful utility and the
-    L uniform starts."""
+    L uniform starts, drawn first so that a bad seed costs no evaluation."""
     t0 = time.perf_counter()
-    evals0 = mech.evaluations
-    profile, base = _prepare(mech, profile, bidder)
     starts = np.stack([
         rng.spawn_generator(seed, rng.STREAM_CANDIDATE, l).random(mech.setting.m)
         for l in range(cfg.big_l)
     ])
+    evals0 = mech.evaluations
+    profile, base = _prepare(mech, profile, bidder)
     return _Search(METHOD_PGA, profile, bidder, base, starts, cfg.gamma, cfg.big_r,
                    mech.evaluations - evals0, time.perf_counter() - t0)
 
@@ -297,14 +293,16 @@ def build_portfolio(profile, bidder: int, item_argmaxes, cfg: PortfolioConfig,
     truthful; then k each of perturbed-combinatorial, perturbed-truthful and
     uniform-random candidates. Gaussian perturbations are clamped to [0, 1]
     after drawing (no rejection loops); with k = 0 no random stream is
-    consumed.
+    consumed, but the seed is checked all the same.
     """
-    comb = np.asarray(item_argmaxes, dtype=np.float64)
+    check_int(seed, "seed", 0)
+    comb = as_floats(item_argmaxes, "item_argmaxes")
     if comb.ndim != 1:
         raise InvalidInputError(f"item_argmaxes shape {comb.shape} is not (m,)")
     _check_values(comb, "item_argmaxes")
     # n is the profile's row count; check_query holds the profile to (n, m)
-    setting = AuctionSetting(len(profile) if np.ndim(profile) else 0, len(comb))
+    profile = as_floats(profile, "profile")
+    setting = AuctionSetting(len(profile) if profile.ndim else 0, len(comb))
     truthful = check_query(setting, [profile], bidder)[1][0]
     m = len(comb)
 

@@ -9,23 +9,15 @@ deterministic functions of the run configuration.
 from __future__ import annotations
 
 import itertools
-import numbers
 from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List
 
 import numpy as np
 
-from .errors import InvalidConfigError, InvalidInputError, ReportFormatError
+from .errors import InvalidConfigError, InvalidInputError, ReportFormatError, check_float, check_int
 from .estimators import METHOD_ITEM, RegretEstimate
-from .mechanisms import (
-    AuctionSetting,
-    _check_values,
-    check_format,
-    check_int,
-    read_json,
-    write_json,
-)
+from .mechanisms import AuctionSetting, _check_values, check_format, read_json, write_json
 
 REPORT_FORMAT_VERSION = 1
 
@@ -62,6 +54,7 @@ class AuditReport:
     def __post_init__(self):
         for name in ("samples", "total_mech_evals", "total_gradient_steps"):
             check_int(getattr(self, name), name, 0)
+        self.wall_seconds = check_float(self.wall_seconds, "wall_seconds")
 
 
 def compute_method_means(records: List[AuditRecord], samples: int,
@@ -77,16 +70,6 @@ def compute_method_means(records: List[AuditRecord], samples: int,
             raise InvalidConfigError(f"method {method} is missing sample records")
         means[method] = float(per_sample.mean())
     return means
-
-
-def check_float(value, what: str) -> float:
-    """``value`` as a float; InvalidInputError unless it is a finite number
-    >= 0 (no bool, no string), as every float of a report is."""
-    if not isinstance(value, numbers.Real) or isinstance(value, bool):
-        raise InvalidInputError(f"{what} must be a number, got {value!r}")
-    if not 0.0 <= value < np.inf:
-        raise InvalidInputError(f"{what} must be finite and >= 0, got {value!r}")
-    return float(value)
 
 
 def _estimate_to_dict(est: RegretEstimate) -> dict:
@@ -113,10 +96,10 @@ def _estimate_from_dict(data: dict) -> RegretEstimate:
     return RegretEstimate(
         method=data["method"],
         bidder=data["bidder"],
-        value=check_float(data["value"], "value"),
+        value=data["value"],
         best_misreport=misreport,
         mech_evals=data["mech_evals"],
-        wall_seconds=check_float(data["wall_seconds"], "wall_seconds"),
+        wall_seconds=data["wall_seconds"],
         gradient_steps=data["gradient_steps"],
         flagged=data["flagged"],
     )
@@ -155,7 +138,7 @@ def report_from_dict(data: dict) -> AuditReport:
                           for k, v in data["method_means"].items()},
             total_mech_evals=data["total_mech_evals"],
             total_gradient_steps=data["total_gradient_steps"],
-            wall_seconds=check_float(data["wall_seconds"], "wall_seconds"),
+            wall_seconds=data["wall_seconds"],
         )
         validate_report(report)  # a file that write_report refuses does not load
         return report

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import check_int
+
 STREAM_VALUATION = 1
 STREAM_CONTEXT = 2
 STREAM_WEIGHTS = 3
@@ -35,11 +37,13 @@ STREAM_GLOBAL_RANDOM = 8
 
 def spawn_generator(seed: int, *path: int) -> np.random.Generator:
     """Return the PCG64 generator for ``seed`` at the given stream path."""
+    check_int(seed, "seed", 0)
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(p) for p in path))
     return np.random.Generator(np.random.PCG64(ss))
 
 
 def derive_seed(seed: int, *path: int) -> int:
     """Derive a child 64-bit seed; used to hand sub-searches their own root."""
+    check_int(seed, "seed", 0)
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(p) for p in path))
     return int(ss.generate_state(1, dtype=np.uint64)[0])

@@ -8,7 +8,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import rng
-from .errors import InvalidConfigError
+from .errors import InvalidConfigError, check_float, check_int
 from .mechanisms import AuctionSetting
 
 KIND_UNIFORM = "uniform01"
@@ -36,8 +36,7 @@ class ValuationDistribution:
     def __post_init__(self):
         if self.kind not in DISTRIBUTION_KINDS:
             raise InvalidConfigError(f"unknown distribution kind {self.kind!r}")
-        if not (np.isfinite(self.std) and self.std > 0):
-            raise InvalidConfigError(f"std must be finite and > 0, got {self.std}")
+        check_float(self.std, "std", positive=True, error=InvalidConfigError)
         if self.kind == KIND_CONTEXTUAL:
             for name, ctx in (("x_contexts", self.x_contexts), ("y_contexts", self.y_contexts)):
                 if ctx is None:
@@ -72,6 +71,7 @@ def sample_valuations(dist: ValuationDistribution, setting: AuctionSetting,
     normal redraws out-of-range entries from the same stream until all lie in
     [0, 1].
     """
+    check_int(sample_index, "sample_index", 0)
     g = rng.spawn_generator(seed, rng.STREAM_VALUATION, sample_index)
     shape = (setting.n, setting.m)
     if dist.kind == KIND_UNIFORM:

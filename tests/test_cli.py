@@ -87,6 +87,14 @@ class TestEval:
         result = runner.invoke(cli, eval_args(out, mechanism=str(spec_path)))
         assert result.exit_code == 2, result.output
         assert "malformed mechanism spec" in result.output
+        # negative seeds used to end in numpy's raw traceback, exit 1
+        result = runner.invoke(cli, eval_args(out, seed=-3))
+        assert result.exit_code == 2, result.output
+        assert "seed must be an integer >= 0" in result.output
+        result = runner.invoke(cli, ["gen-mech", "--bidders", "2", "--items", "2",
+                                     "--seed", "-1", "--out", str(spec_path)])
+        assert result.exit_code == 2, result.output
+        assert "seed must be an integer >= 0" in result.output
 
     def test_infinite_std_exits_2(self, runner, tmp_path):
         out = tmp_path / "report.json"

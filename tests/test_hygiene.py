@@ -1,12 +1,18 @@
-"""Source hygiene: every name a package module imports is used there, and
-every name the benchmark tracer binds exists."""
+"""Source hygiene: every name a package module imports is used there, every
+name the benchmark tracer binds exists, and every number a config type,
+record type or entry takes goes through ``check_int`` or ``check_float``."""
 
 import ast
+import dataclasses
 import importlib.util
 import inspect
+import math
 from pathlib import Path
 
 import pytest
+
+import regret_audit as ra
+from regret_audit.harness import resolve_workers
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "regret_audit"
@@ -66,3 +72,76 @@ def test_tracer_targets_resolve_and_explain_every_marked_import():
         module = f"regret_audit.{path.stem}"
         for name in marked_imports(path.read_text(encoding="utf-8")):
             assert (module, name) in bound, f"{module}.{name} is imported for no tracer target"
+
+
+SETTING = ra.AuctionSetting(2, 2)
+PROFILE = [[0.3, 0.4], [0.2, 0.5]]
+ESTIMATE = ra.RegretEstimate(ra.METHOD_EXHAUSTIVE, 0, 0.0, None, 1, 0.0)
+RECORD = ra.AuditRecord(0, ESTIMATE)
+#: one valid instance of each exported config and record type
+VALID_INSTANCES = (
+    SETTING,
+    ra.GridSpec(4),
+    ra.PgaConfig(0.1, 1, 1),
+    ra.PortfolioConfig(),
+    ra.ValuationDistribution(),
+    ra.AuditRunConfig(SETTING, "second_price", ra.ValuationDistribution(), ra.GridSpec(4),
+                      (ra.METHOD_EXHAUSTIVE,), ra.PgaConfig(0.1, 1, 1), ra.PortfolioConfig(),
+                      samples=1, seed=0),
+    ESTIMATE,
+    RECORD,
+    ra.AuditReport({}, 1, (ra.METHOD_EXHAUSTIVE,), [RECORD], {ra.METHOD_EXHAUSTIVE: 0.0},
+                   1, 0, 0.0),
+    ra.generate_neural_spec(SETTING, 2, 0),
+)
+#: values every int or float field must refuse
+BAD_NUMBERS = {"int": (math.nan, True, "x", 1.5, -1),
+               "float": (math.nan, math.inf, True, "x", -1.0)}
+
+
+def number_fields(cls):
+    """(name, "int" or "float") of each field of dataclass ``cls`` annotated
+    so; the package's annotations are strings (``from __future__ import annotations``)."""
+    return [(f.name, f.type) for f in dataclasses.fields(cls) if f.type in BAD_NUMBERS]
+
+
+def test_every_exported_type_with_a_number_field_has_an_instance():
+    exported = {obj for obj in vars(ra).values()
+                if dataclasses.is_dataclass(obj) and isinstance(obj, type) and number_fields(obj)}
+    assert exported == {type(obj) for obj in VALID_INSTANCES}
+
+
+@pytest.mark.parametrize("obj,name,bad", [
+    pytest.param(obj, name, bad, id=f"{type(obj).__name__}.{name}={bad!r}")
+    for obj in VALID_INSTANCES for name, kind in number_fields(type(obj))
+    for bad in BAD_NUMBERS[kind]])
+def test_every_number_field_is_checked(obj, name, bad):
+    with pytest.raises(ra.AuditError):
+        dataclasses.replace(obj, **{name: bad})
+
+
+#: each entry, given a fresh mechanism and a value for one integer argument
+INT_ENTRIES = {
+    "spawn_generator(seed)": lambda mech, x: ra.rng.spawn_generator(x, 1),
+    "derive_seed(seed)": lambda mech, x: ra.rng.derive_seed(x, 1),
+    "sample_valuations(sample_index)": lambda mech, x: ra.sample_valuations(
+        ra.ValuationDistribution(), SETTING, x, 0),
+    "random_restart_pga(seed)": lambda mech, x: ra.random_restart_pga(
+        mech, PROFILE, 0, ra.PgaConfig(0.1, 1, 1), x),
+    "exhaustive_regret(max_evals)": lambda mech, x: ra.exhaustive_regret(
+        mech, PROFILE, 0, ra.GridSpec(4), max_evals=x),
+    "item_regret(item)": lambda mech, x: ra.item_regret(mech, PROFILE, 0, x, ra.GridSpec(4)),
+    "pga_single(big_r)": lambda mech, x: ra.pga_single(mech, PROFILE, 0, [0.5, 0.5], 0.1, x),
+    "build_portfolio(seed)": lambda mech, x: ra.build_portfolio(
+        PROFILE, 0, [0.5, 0.5], ra.PortfolioConfig(), x),
+    "resolve_workers(workers)": lambda mech, x: resolve_workers(x),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_NUMBERS["int"], ids=repr)
+@pytest.mark.parametrize("entry", INT_ENTRIES)
+def test_every_integer_argument_is_checked(entry, bad):
+    mech = ra.PerItemFirstPriceAuction(SETTING)
+    with pytest.raises(ra.AuditError):
+        INT_ENTRIES[entry](mech, bad)
+    assert mech.evaluations == 0

@@ -31,6 +31,9 @@ MALFORMED_QUERIES = {
     "three_item_valuation": (PROFILE_2X2, 0, ROWS_2X2, [0.5, 0.5, 0.5]),
     "one_dimensional_profile": (np.array([0.3, 0.4]), 0, ROWS_2X2, None),
     "three_bidders_for_two_rows": (PROFILE_2X2, np.array([0, 1, 0]), ROWS_2X2, None),
+    # these used to raise numpy's raw ValueError
+    "ragged_profile": ([[0.3], [0.2, 0.5]], 0, ROWS_2X2, None),
+    "string_row": (PROFILE_2X2, 0, [[0.3, "x"]], None),
 }
 
 
@@ -324,6 +327,30 @@ class TestGradients:
                 fd = (ra.evaluate_misreports(mech, batch, bidder, rows, valuation_row=values),
                       fd_gradient_rows(mech, batch, bidder, rows, valuation_row=values))
                 assert all(np.array_equal(a, b) for a, b in zip(one, fd))
+
+
+class ZeroNeural(ra.NeuralMechanism):
+    """A neural mechanism whose replaced ``_run_batch`` allocates nothing and
+    charges nothing: every utility, and so the true regret, is 0."""
+
+    def _run_batch(self, batch):
+        B, n, m = batch.shape
+        return np.zeros((B, n, m)), np.zeros((B, n))
+
+
+class TestHookDefaults:
+    def test_replacing_run_batch_restores_every_default_hook(self, setting_2x2):
+        # the ascent used to take the parent network's utilities from the
+        # inherited _gradient_batch: pga reported 0.277 and guided 0.296
+        mech = ZeroNeural(ra.generate_neural_spec(setting_2x2, 16, 42))
+        assert ra.random_restart_pga(mech, PROFILE_2X2, 0, ra.PgaConfig(0.1, 5, 20), 7).value == 0.0
+        assert ra.guided_refinement(mech, PROFILE_2X2, 0, ra.GridSpec(20),
+                                    ra.PortfolioConfig(), 7).value == 0.0
+        assert ra.exhaustive_regret(mech, PROFILE_2X2, 0, ra.GridSpec(20)).value == 0.0
+        batch = np.stack([PROFILE_2X2, ROWS_2X2])
+        utils, _ = mech.utility_and_gradient_many(batch, 0, PROFILE_2X2[0])
+        rows = batch[:, 0]
+        assert np.array_equal(utils, ra.evaluate_misreports(mech, batch, 0, rows, PROFILE_2X2[0]))
 
 
 class TestNeuralSpec:
