@@ -31,10 +31,8 @@ from .estimators import (
     lower_bound_regret,
 )
 from .harness import (
-    GRID_METHODS,
     RUN_METHODS,
     AuditRunConfig,
-    audit_all_bidders,
     resolve_mechanism,
     run_audit,
     run_sweep,

@@ -95,9 +95,9 @@ class RegretEstimate:
 def _prepare(mech: Mechanism, profile, bidder: int):
     """Every estimator's preamble: the validated profile and the truthful
     utility (one evaluation) that every gain is measured against."""
-    profiles, rows, v = check_query(mech.setting, [profile], bidder)
+    profiles, _, v = check_query(mech.setting, [profile], bidder)
     profile = profiles[0]
-    base = float(mech._misreport_utilities(profile, bidder, rows, v)[0])
+    base = float(mech._misreport_utilities(profile, bidder, v, v)[0])  # v: the truthful row
     if not np.isfinite(base):
         raise InvalidInputError(
             f"mechanism gives bidder {bidder} a non-finite truthful utility ({base})")

@@ -23,7 +23,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import estimators, rng
-from .errors import InvalidConfigError, InvalidInputError, MechanismLoadError, check_int
+from .errors import InvalidConfigError, MechanismLoadError, check_int
 from .estimators import (
     DEFAULT_EVAL_BUDGET,
     METHOD_EXHAUSTIVE,
@@ -75,9 +75,9 @@ class _Cell:
     grid: GridSpec
     guided_grid: GridSpec
     max_evals: int
-    pga: Optional[PgaConfig] = None
-    portfolio: Optional[PortfolioConfig] = None
-    seed: Optional[int] = None  # search seed; None for grid-only runs
+    pga: PgaConfig
+    portfolio: PortfolioConfig
+    seed: int  # search seed
 
 
 #: one method over a chunk of cells: (cells, each cell's item scan or None)
@@ -101,8 +101,6 @@ class _Method:
     run: _ChunkRunner
     #: the cell grid whose item scan the method derives from
     scan_grid: Optional[str] = None
-    #: reads the search seed, so audit_all_bidders cannot run it
-    searches: bool = False
 
 
 #: every method in canonical record order. The estimator functions are looked
@@ -118,16 +116,14 @@ METHODS = {
     METHOD_ITEM_WISE: _Method(_per_cell(lambda c, scan: [item_wise_regret(
         c.mech, c.profile, c.bidder, c.grid, scan=scan)]), scan_grid="grid"),
     METHOD_PGA: _Method(_lockstep(lambda c, _: pga_search(
-        c.mech, c.profile, c.bidder, c.pga, c.seed)), searches=True),
+        c.mech, c.profile, c.bidder, c.pga, c.seed))),
     METHOD_GUIDED: _Method(_lockstep(lambda c, scan: guided_search(
         c.mech, c.profile, c.bidder, c.guided_grid, c.portfolio, c.seed, scan=scan)),
-        scan_grid="guided_grid", searches=True),
+        scan_grid="guided_grid"),
 }
 
 #: methods run_audit can execute, in canonical record order
 RUN_METHODS = tuple(METHODS)
-#: methods that need no run seed, runnable through audit_all_bidders
-GRID_METHODS = tuple(name for name, method in METHODS.items() if not method.searches)
 
 SWEEP_CSV_COLUMNS = ("L", "R", "mean_regret", "mech_evals", "gradient_steps", "wall_seconds")
 
@@ -157,15 +153,12 @@ class AuditRunConfig:
         check_int(self.max_grid_evals, "max_grid_evals", 1, InvalidConfigError)
         if not self.methods:
             raise InvalidConfigError("methods must be nonempty")
-        self.methods = _canonical_methods(self.methods, RUN_METHODS, InvalidConfigError)
-
-
-def _canonical_methods(methods, allowed: tuple, error) -> tuple:
-    """``methods`` in canonical order, so record layout ignores input order."""
-    unknown = set(methods) - set(allowed)
-    if unknown:
-        raise error(f"unknown methods {sorted(unknown)}; expected a subset of {allowed}")
-    return tuple(m for m in allowed if m in set(methods))
+        unknown = set(self.methods) - set(RUN_METHODS)
+        if unknown:
+            raise InvalidConfigError(
+                f"unknown methods {sorted(unknown)}; expected a subset of {RUN_METHODS}")
+        # canonical order, so record layout ignores input order
+        self.methods = tuple(m for m in RUN_METHODS if m in self.methods)
 
 
 def resolve_mechanism(source: MechanismSource, setting: AuctionSetting) -> Mechanism:
@@ -248,19 +241,6 @@ def _chunk_estimates(cells: Sequence[_Cell], methods: tuple) -> List[List[Regret
         per_method.append(estimates)
     return [[est for estimates in cell_methods for est in estimates]
             for cell_methods in zip(*per_method)]
-
-
-def audit_all_bidders(mech: Mechanism, profile, grid: GridSpec,
-                      methods: Sequence[str]) -> List[RegretEstimate]:
-    """Run the requested grid estimators for every bidder.
-
-    Results are ordered by (bidder, canonical method order, item). An empty
-    method set yields an empty list.
-    """
-    methods = _canonical_methods(methods, GRID_METHODS, InvalidInputError)
-    cells = [_Cell(mech, profile, bidder, grid, grid, DEFAULT_EVAL_BUDGET)
-             for bidder in range(mech.setting.n)]
-    return [est for estimates in _chunk_estimates(cells, methods) for est in estimates]
 
 
 def _chunk_records(cfg: AuditRunConfig, samples: Sequence[int]) -> List[AuditRecord]:

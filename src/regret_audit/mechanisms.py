@@ -59,7 +59,8 @@ def as_profile(values, setting: AuctionSetting) -> np.ndarray:
 
 def check_query(setting: AuctionSetting, profile, bidder, rows=None, valuation_row=None):
     """The checked float64 ``(profile, rows, v)`` of a mechanism query, else
-    InvalidInputError. A query is
+    InvalidInputError; ``rows`` are returned as given, None when omitted. A
+    query is
 
     * ``profile``: one (n, m) profile, or one per row, (B, n, m);
     * ``bidder``: an int (checked in O(1)), or one per row;
@@ -100,12 +101,9 @@ def check_query(setting: AuctionSetting, profile, bidder, rows=None, valuation_r
         i = int(np.argmin(((rows >= 0.0) & (rows <= 1.0)).all(axis=1)))
         raise InvalidInputError(f"misreport row {rows[i].tolist()} of bidder "
                                 f"{np.broadcast_to(bidder, (B,))[i]} is not in [0, 1]")
-    if rows is None or valuation_row is None:
-        stack = profile if profile.ndim == 3 else np.broadcast_to(profile, (B, n, m))
-        truthful = stack[_own(B, bidder)]
-        rows = truthful if rows is None else rows
     if valuation_row is None:
-        return profile, rows, truthful
+        stack = profile if profile.ndim == 3 else np.broadcast_to(profile, (B, n, m))
+        return profile, rows, stack[_own(B, bidder)]
     v = as_floats(valuation_row, "valuation row")
     if v.shape not in ((m,), (B, m)):
         raise InvalidInputError(f"valuation row shape {v.shape} != ({m},) or ({B}, {m})")
@@ -163,11 +161,10 @@ class Mechanism:
         return self._gradient_batch(batch, bidder, v)
 
     def _gradient_batch(self, batch: np.ndarray, bidder, v: np.ndarray):
-        """Central finite differences, 2m+1 evaluations per profile; an
-        analytic gradient overrides this hook and ``_charge``s its passes."""
-        rows = batch[_own(batch.shape[0], bidder)]
-        return (self._misreport_utilities(batch, bidder, rows, v),
-                fd_gradient_rows(self, batch, bidder, rows, valuation_row=v))
+        """Central finite differences, 2m+1 evaluations per profile in one
+        ``_misreport_utilities`` call; an analytic gradient overrides this
+        hook and ``_charge``s its passes."""
+        return _fd_utilities(self, batch, bidder, batch[_own(batch.shape[0], bidder)], v)
 
     def _misreport_utilities(self, profile: np.ndarray, bidder, rows: np.ndarray,
                              v: np.ndarray) -> np.ndarray:
@@ -514,29 +511,37 @@ def evaluate_misreports(mech: Mechanism, profile: np.ndarray, bidder,
 def fd_gradient_rows(mech: Mechanism, profile: np.ndarray, bidder,
                      rows: np.ndarray, valuation_row=None) -> np.ndarray:
     """Central finite-difference utility gradients for a stack of bid rows
-    (a query as in ``evaluate_misreports``).
+    (a query as in ``evaluate_misreports``), at 2m+1 evaluations per row
+    (see ``_fd_utilities``)."""
+    profile, rows, v = check_query(mech.setting, profile, bidder, rows, valuation_row)
+    return _fd_utilities(mech, profile, bidder, rows, v)[1]
+
+
+def _fd_utilities(mech: Mechanism, profile: np.ndarray, bidder, rows: np.ndarray,
+                  v: np.ndarray):
+    """Utilities (B,) of checked candidate rows and their central
+    finite-difference gradients (B, m).
 
     Probe points are clamped to [0, 1], degrading to one-sided differences at
-    the boundary. All 2*m probes of every row go to the mechanism in one
-    call, so they cost 2*m evaluations per row.
+    the boundary. Each row and its 2m probes go to the mechanism's
+    ``_misreport_utilities`` in one call, (2m+1)B rows in all.
     """
-    profile, rows, v = check_query(mech.setting, profile, bidder, rows, valuation_row)
     B, m = rows.shape
     hi = np.minimum(rows + FD_STEP, 1.0)
     lo = np.maximum(rows - FD_STEP, 0.0)
-    probes = np.broadcast_to(rows[:, None, None, :], (B, m, 2, m)).copy()
+    points = np.broadcast_to(rows[:, None, :], (B, 2 * m + 1, m)).copy()
     idx = np.arange(m)
-    probes[:, idx, 0, idx] = hi
-    probes[:, idx, 1, idx] = lo
+    points[:, 1 + 2 * idx, idx] = hi
+    points[:, 2 + 2 * idx, idx] = lo
 
-    def per_probe(a, shape):
-        """``a``, one entry per row, repeated for each of the row's 2m probes."""
-        return np.repeat(np.broadcast_to(a, (B,) + shape), 2 * m, axis=0)
+    def per_point(a, ndim):
+        """``a`` as is when it is one entry of ``ndim`` dimensions, else its
+        entry of each row repeated for each of the row's 2m+1 points."""
+        return a if np.ndim(a) == ndim else np.repeat(a, 2 * m + 1, axis=0)
 
-    u = mech._misreport_utilities(per_probe(profile, profile.shape[-2:]), per_probe(bidder, ()),
-                                  probes.reshape(B * m * 2, m), per_probe(v, (m,)))
-    u = u.reshape(B, m, 2)
-    return (u[:, :, 0] - u[:, :, 1]) / (hi - lo)
+    u = mech._misreport_utilities(per_point(profile, 2), per_point(bidder, 0),
+                                  points.reshape(-1, m), per_point(v, 1)).reshape(B, 2 * m + 1)
+    return u[:, 0], (u[:, 1::2] - u[:, 2::2]) / (hi - lo)
 
 
 def utility(mech: Mechanism, valuation_row, bids, bidder: int) -> float:

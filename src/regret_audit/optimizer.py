@@ -88,9 +88,6 @@ class PortfolioConfig:
         check_float(self.sigma_opt, "sigma_opt")
         check_float(self.sigma_truth, "sigma_truth")
 
-    def portfolio_size(self, m: int) -> int:
-        return 1 + m + 3 * self.k
-
 
 #: portfolio presets matched to the models' misreport landscapes
 PORTFOLIO_PRESETS = {
@@ -303,7 +300,7 @@ def build_portfolio(profile, bidder: int, item_argmaxes, cfg: PortfolioConfig,
     # n is the profile's row count; check_query holds the profile to (n, m)
     profile = as_floats(profile, "profile")
     setting = AuctionSetting(len(profile) if profile.ndim else 0, len(comb))
-    truthful = check_query(setting, [profile], bidder)[1][0]
+    truthful = check_query(setting, [profile], bidder)[2][0]
     m = len(comb)
 
     single = np.tile(truthful, (m, 1))

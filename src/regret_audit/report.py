@@ -15,9 +15,9 @@ from typing import Dict, List
 
 import numpy as np
 
-from .errors import InvalidConfigError, InvalidInputError, ReportFormatError, check_float, check_int
+from .errors import InvalidConfigError, ReportFormatError, check_float, check_int
 from .estimators import METHOD_ITEM, RegretEstimate
-from .mechanisms import AuctionSetting, _check_values, check_format, read_json, write_json
+from .mechanisms import AuctionSetting, check_format, read_json, write_json
 
 REPORT_FORMAT_VERSION = 1
 
@@ -87,17 +87,11 @@ def _estimate_to_dict(est: RegretEstimate) -> dict:
 
 def _estimate_from_dict(data: dict) -> RegretEstimate:
     misreport = data["best_misreport"]
-    if misreport is not None:
-        misreport = np.asarray(misreport, dtype=np.float64)
-        if misreport.ndim != 1 or not misreport.size:
-            raise InvalidInputError(
-                f"best_misreport must be a bid row, got {data['best_misreport']!r}")
-        _check_values(misreport, "best_misreport entries")
     return RegretEstimate(
         method=data["method"],
         bidder=data["bidder"],
         value=data["value"],
-        best_misreport=misreport,
+        best_misreport=None if misreport is None else np.asarray(misreport, dtype=np.float64),
         mech_evals=data["mech_evals"],
         wall_seconds=data["wall_seconds"],
         gradient_steps=data["gradient_steps"],
@@ -166,9 +160,11 @@ def validate_report(report: AuditReport) -> None:
                 f"record sample {rec.sample} out of range: samples={report.samples}")
         if est.bidder >= setting.n:
             raise InvalidConfigError(f"record bidder {est.bidder} out of range for n={setting.n}")
-        if est.best_misreport is not None and len(est.best_misreport) != setting.m:
-            raise InvalidConfigError(f"record best_misreport {est.best_misreport.tolist()} "
-                                     f"is not a row of m={setting.m} bids")
+        row = est.best_misreport
+        if row is not None and not (row.shape == (setting.m,)
+                                    and row.min() >= 0.0 and row.max() <= 1.0):
+            raise InvalidConfigError(f"record best_misreport {row.tolist()} "
+                                     f"is not a row of m={setting.m} bids in [0, 1]")
         if est.method not in report.methods:
             raise InvalidConfigError(
                 f"record method {est.method!r} is not one of {list(report.methods)}")

@@ -15,8 +15,6 @@ KIND_UNIFORM = "uniform01"
 KIND_CONTEXTUAL = "truncated_normal_context"
 DISTRIBUTION_KINDS = (KIND_UNIFORM, KIND_CONTEXTUAL)
 
-CONTEXT_RANGE = range(1, 11)
-
 
 @dataclass(frozen=True)
 class ValuationDistribution:
@@ -25,7 +23,7 @@ class ValuationDistribution:
     The contextual kind assigns each bidder a context x_i and each item a
     context y_j, both in {1..10}; entry (i, j) is drawn from a normal with
     mean ((x_i + y_j) mod 10 + 1) / 11 and the given std, truncated to
-    [0, 1].
+    [0, 1]. Contexts given to either kind must be integers in 1..10.
     """
 
     kind: str = KIND_UNIFORM
@@ -37,11 +35,12 @@ class ValuationDistribution:
         if self.kind not in DISTRIBUTION_KINDS:
             raise InvalidConfigError(f"unknown distribution kind {self.kind!r}")
         check_float(self.std, "std", positive=True, error=InvalidConfigError)
-        if self.kind == KIND_CONTEXTUAL:
-            for name, ctx in (("x_contexts", self.x_contexts), ("y_contexts", self.y_contexts)):
-                if ctx is None:
-                    raise InvalidConfigError(f"{name} required for {KIND_CONTEXTUAL}")
-                if any(c not in CONTEXT_RANGE for c in ctx):
+        for name, ctx in (("x_contexts", self.x_contexts), ("y_contexts", self.y_contexts)):
+            if ctx is None and self.kind == KIND_CONTEXTUAL:
+                raise InvalidConfigError(f"{name} required for {KIND_CONTEXTUAL}")
+            for c in ctx or ():
+                check_int(c, f"{name} entries", 1, InvalidConfigError)
+                if c > 10:
                     raise InvalidConfigError(f"{name} entries must be in 1..10, got {ctx}")
 
 

@@ -143,16 +143,17 @@ class TestNonFiniteMisreports:
 class TestEvalAccounting:
     def test_item_wise_total_matches_formula(self, setting_2x2, neural_2x2):
         profile = uniform_profile(setting_2x2, 0, 7)
-        ests = ra.audit_all_bidders(neural_2x2, profile, ra.GridSpec(10), ["item_wise"])
+        ests = [ra.item_wise_regret(neural_2x2, profile, bidder, ra.GridSpec(10))
+                for bidder in range(2)]
         assert sum(e.mech_evals for e in ests) == 2 * (2 * 12 + 1) == 50
 
     def test_exhaustive_total_off_and_on_grid(self, setting_2x2, neural_2x2):
-        off_grid = uniform_profile(setting_2x2, 0, 7)
-        ests = ra.audit_all_bidders(neural_2x2, off_grid, ra.GridSpec(10), ["exhaustive"])
-        assert sum(e.mech_evals for e in ests) == 2 * (11 ** 2 + 1 + 1) == 246
-        on_grid = np.array([[0.8, 0.5], [0.3, 0.1]])
-        ests = ra.audit_all_bidders(neural_2x2, on_grid, ra.GridSpec(10), ["exhaustive"])
-        assert sum(e.mech_evals for e in ests) == 2 * (11 ** 2 + 1) == 244
+        def total(profile):
+            return sum(ra.exhaustive_regret(neural_2x2, profile, bidder, ra.GridSpec(10)).mech_evals
+                       for bidder in range(2))
+
+        assert total(uniform_profile(setting_2x2, 0, 7)) == 2 * (11 ** 2 + 1 + 1) == 246
+        assert total(np.array([[0.8, 0.5], [0.3, 0.1]])) == 2 * (11 ** 2 + 1) == 244
 
     @pytest.mark.parametrize("q", [5, 10, 20])
     @pytest.mark.parametrize("m", [1, 2, 3])
@@ -251,29 +252,15 @@ class TestBoundChain:
         grid = ra.GridSpec(10)
         for sample in range(20):
             profile = uniform_profile(setting_2x2, sample, 31)
-            ests = ra.audit_all_bidders(neural_2x2, profile, grid,
-                                        ["exhaustive", "item", "lower_bound", "item_wise"])
+            ests = [est for bidder in range(2) for est in (
+                ra.exhaustive_regret(neural_2x2, profile, bidder, grid),
+                *(ra.item_regret(neural_2x2, profile, bidder, item, grid) for item in range(2)),
+                ra.lower_bound_regret(neural_2x2, profile, bidder, grid),
+                ra.item_wise_regret(neural_2x2, profile, bidder, grid))]
             assert all(e.value >= 0.0 for e in ests)
             for e in ests:
                 if e.best_misreport is not None:
                     assert e.best_misreport.min() >= 0.0 and e.best_misreport.max() <= 1.0
-
-
-class TestAuditAllBidders:
-    def test_empty_methods_empty_list(self, setting_2x2, neural_2x2):
-        profile = uniform_profile(setting_2x2, 0, 7)
-        assert ra.audit_all_bidders(neural_2x2, profile, ra.GridSpec(10), []) == []
-
-    def test_item_method_yields_per_item_records(self, setting_2x2, neural_2x2):
-        profile = uniform_profile(setting_2x2, 0, 7)
-        ests = ra.audit_all_bidders(neural_2x2, profile, ra.GridSpec(10), ["item"])
-        assert len(ests) == 4  # 2 bidders x 2 items
-        assert all(e.method == "item" for e in ests)
-
-    def test_rejects_non_grid_methods(self, setting_2x2, neural_2x2):
-        profile = uniform_profile(setting_2x2, 0, 7)
-        with pytest.raises(ra.InvalidInputError):
-            ra.audit_all_bidders(neural_2x2, profile, ra.GridSpec(10), ["pga"])
 
 
 class TestGoldenOracle:

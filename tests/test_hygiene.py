@@ -94,14 +94,17 @@ VALID_INSTANCES = (
                    1, 0, 0.0),
     ra.generate_neural_spec(SETTING, 2, 0),
 )
-#: values every int or float field must refuse
+#: values every int or float field must refuse; a tuple-of-int field, each
+#: bad int inside a tuple
 BAD_NUMBERS = {"int": (math.nan, True, "x", 1.5, -1),
                "float": (math.nan, math.inf, True, "x", -1.0)}
+BAD_NUMBERS["Optional[Tuple[int, ...]]"] = tuple((bad,) for bad in BAD_NUMBERS["int"])
 
 
 def number_fields(cls):
-    """(name, "int" or "float") of each field of dataclass ``cls`` annotated
-    so; the package's annotations are strings (``from __future__ import annotations``)."""
+    """(name, annotation) of each field of dataclass ``cls`` annotated as a
+    ``BAD_NUMBERS`` key; the package's annotations are strings (``from
+    __future__ import annotations``)."""
     return [(f.name, f.type) for f in dataclasses.fields(cls) if f.type in BAD_NUMBERS]
 
 

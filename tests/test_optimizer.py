@@ -46,9 +46,12 @@ class TestConfigs:
         assert former.sigma_opt == 0.6 and former.sigma_truth == 0.6
 
     def test_portfolio_size_formula(self):
-        cfg = ra.PortfolioConfig(k=80)
-        assert cfg.portfolio_size(2) == 1 + 2 + 240
-        assert ra.PortfolioConfig(k=0).portfolio_size(5) == 6
+        two = ra.build_portfolio([[0.4, 0.7], [0.2, 0.9]], 0, [0.1, 0.7],
+                                 ra.PortfolioConfig(k=80), seed=1)
+        assert two.shape == (1 + 2 + 240, 2)
+        five = ra.build_portfolio(np.full((2, 5), 0.5), 0, np.zeros(5),
+                                  ra.PortfolioConfig(k=0), seed=1)
+        assert five.shape == (6, 5)
 
     def test_portfolio_config_validation(self):
         with pytest.raises(ra.InvalidInputError):
@@ -267,7 +270,7 @@ class TestPortfolio:
         profile = np.array([[0.4, 0.7], [0.2, 0.9]])
         cfg = ra.PortfolioConfig(k=80, sigma_opt=0.6, sigma_truth=0.6)
         port = ra.build_portfolio(profile, 0, [0.1, 0.7], cfg, seed=5)
-        assert port.shape == (1 + 2 + 240, 2) == (cfg.portfolio_size(2), 2)
+        assert port.shape == (1 + 2 + 240, 2)
         assert port[:3].tolist() == [[0.1, 0.7], [0.1, 0.7], [0.4, 0.7]]
         # each group of k comes from its own stream: perturbed-combinatorial,
         # perturbed-truthful, then uniform-random

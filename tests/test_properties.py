@@ -2,7 +2,8 @@
 ascent, report equality across worker counts, restart nesting, monotone
 grid refinement, the exact bound chain, chunk invariance of the grid scans,
 the built-in auctions' direct misreport utilities against the default path
-and the closed-form grid regret, the feature-major neural kernel against a
+and the closed-form grid regret, the one-call finite-difference gradient
+against separately evaluated probes, the feature-major neural kernel against a
 batch-major reference, and report reading under mutation."""
 
 import copy
@@ -20,7 +21,7 @@ from regret_audit import estimators
 from regret_audit.optimizer import _ascend
 from regret_audit.report import report_to_dict
 
-from conftest import NanAboveAuction, uniform_profile
+from conftest import ConstantMechanism, NanAboveAuction, uniform_profile
 
 SETTING = ra.AuctionSetting(2, 2)
 MECHANISMS = {
@@ -207,6 +208,48 @@ def test_builtin_misreport_utilities_bitwise_equal_default(call):
     default = ra.Mechanism._misreport_utilities(mech, profile, bidder, rows, v)
     assert mech.evaluations == 2 * len(rows)
     assert fast.tobytes() == default.tobytes()
+
+
+FD_MECHANISMS = {**BUILTINS, "constant": ConstantMechanism}
+
+
+@st.composite
+def gradient_calls(draw):
+    """(mechanism, (B, n, m) batch, bidder, valuation) for the inherited
+    finite-difference hook, with some bids on the box's faces."""
+    n, m, size = draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.integers(1, 9))
+    g = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    batch = g.random((size, n, m))
+    batch[g.random(batch.shape) < 0.2] = 0.0
+    batch[g.random(batch.shape) < 0.2] = 1.0
+    bidder = g.integers(0, n, size) if draw(st.booleans()) else int(g.integers(0, n))
+    v = g.random((size, m) if draw(st.booleans()) else m)
+    mech = FD_MECHANISMS[draw(st.sampled_from(sorted(FD_MECHANISMS)))](ra.AuctionSetting(n, m))
+    return mech, batch, bidder, v
+
+
+@settings(max_examples=60, deadline=None)
+@given(call=gradient_calls())
+def test_fd_gradient_is_one_hook_call_of_each_row_and_its_probes(call):
+    mech, batch, bidder, v = call
+    B, _, m = batch.shape
+    sizes = _capped_calls(mech, (2 * m + 1) * B)
+    u, grad = mech.utility_and_gradient_many(batch, bidder, v)
+    assert sizes == [(2 * m + 1) * B]
+    assert mech.evaluations == (2 * m + 1) * B
+    # the reference: the rows, then each item's clamped probes, in separate calls
+    own = (slice(None), bidder) if np.ndim(bidder) == 0 else (np.arange(B), bidder)
+    rows = batch[own]
+    assert u.tobytes() == ra.evaluate_misreports(mech, batch, bidder, rows, v).tobytes()
+    want = np.empty((B, m))
+    for j in range(m):
+        hi, lo = rows.copy(), rows.copy()
+        hi[:, j] = np.minimum(rows[:, j] + 1e-5, 1.0)
+        lo[:, j] = np.maximum(rows[:, j] - 1e-5, 0.0)
+        want[:, j] = ((ra.evaluate_misreports(mech, batch, bidder, hi, v)
+                       - ra.evaluate_misreports(mech, batch, bidder, lo, v))
+                      / (hi[:, j] - lo[:, j]))
+    assert grad.tobytes() == want.tobytes()
 
 
 @st.composite
