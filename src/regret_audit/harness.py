@@ -59,7 +59,7 @@ from .optimizer import (
     guided_refinement,  # noqa: F401
     random_restart_pga,  # noqa: F401
 )
-from .report import AuditRecord, AuditReport, compute_method_means, write_report
+from .report import AuditRecord, AuditReport, write_report
 from .sampling import ValuationDistribution, sample_valuations
 
 THREADS_ENV_VAR = "REGRET_AUDIT_THREADS"
@@ -286,7 +286,8 @@ def run_audit(cfg: AuditRunConfig, workers: Optional[int] = None) -> AuditReport
     is persisted to ``cfg.out`` when set.
     """
     t0 = time.perf_counter()
-    workers = resolve_workers(workers)
+    # reports do not depend on the worker count, so more workers than CPUs add only memory
+    workers = min(resolve_workers(workers), os.cpu_count() or 1)
 
     # one contiguous chunk of samples per worker; a serial run is one chunk
     chunks = [chunk.tolist() for chunk in np.array_split(np.arange(cfg.samples), workers)
@@ -297,18 +298,9 @@ def run_audit(cfg: AuditRunConfig, workers: Optional[int] = None) -> AuditReport
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
             per_chunk = list(pool.map(_chunk_records, [cfg] * len(chunks), chunks))
 
-    records = [rec for chunk_recs in per_chunk for rec in chunk_recs]
-    means = compute_method_means(records, cfg.samples, cfg.methods)
-    report = AuditReport(
-        config=config_echo(cfg),
-        samples=cfg.samples,
-        methods=cfg.methods,
-        records=records,
-        method_means=means,
-        total_mech_evals=sum(r.estimate.mech_evals for r in records),
-        total_gradient_steps=sum(r.estimate.gradient_steps for r in records),
-        wall_seconds=time.perf_counter() - t0,
-    )
+    report = AuditReport(config=config_echo(cfg),
+                         records=[rec for chunk_recs in per_chunk for rec in chunk_recs],
+                         wall_seconds=time.perf_counter() - t0)
     if cfg.out is not None:
         write_report(report, cfg.out)
     return report

@@ -228,7 +228,9 @@ def _climb(mech: Mechanism, searches: Sequence[_Search]) -> List[RegretEstimate]
         best_rows[group], best_utils[group], frozen[group] = _ascend(
             mech, profiles[owner[group]], bidders[owner[group]], starts[group], gamma, steps)
     evals_per_row, rest = divmod(mech.evaluations - evals0, len(starts))
-    assert rest == 0, "lockstep rows must cost the same"
+    if rest:
+        raise InvalidInputError(f"mechanism charged {mech.evaluations - evals0} evaluations "
+                                f"for {len(starts)} lockstep rows, not the same for each row")
     seconds_per_row = (time.perf_counter() - t0) / len(starts)
     cuts = np.cumsum(sizes)[:-1]
     return [_finish(s, rows, utils, flags, evals_per_row * len(rows), seconds_per_row * len(rows))

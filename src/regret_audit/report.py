@@ -9,6 +9,7 @@ deterministic functions of the run configuration.
 from __future__ import annotations
 
 import itertools
+import json
 from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List
@@ -35,41 +36,42 @@ class AuditRecord:
 
 @dataclass
 class AuditReport:
-    """Per-method regret summaries plus the full per-sample records.
-
-    ``method_means`` holds, per method, the mean over samples of the
-    per-sample maximum over bidders; the records keep every per-bidder
-    estimate so any other aggregation can be recomputed.
-    """
+    """An audit's config echo, its per-(sample, bidder, method) records and
+    its wall time; every summary is derived from the config and records."""
 
     config: dict
-    samples: int
-    methods: tuple
     records: List[AuditRecord]
-    method_means: Dict[str, float]
-    total_mech_evals: int
-    total_gradient_steps: int
     wall_seconds: float
 
     def __post_init__(self):
-        for name in ("samples", "total_mech_evals", "total_gradient_steps"):
-            check_int(getattr(self, name), name, 0)
         self.wall_seconds = check_float(self.wall_seconds, "wall_seconds")
 
+    @property
+    def samples(self) -> int:
+        return self.config["samples"]
 
-def compute_method_means(records: List[AuditRecord], samples: int,
-                         methods) -> Dict[str, float]:
-    """Mean over samples of the per-sample max over bidders, per method."""
-    means = {}
-    for method in methods:
-        per_sample = np.full(samples, -np.inf)
-        for rec in records:
-            if rec.estimate.method == method:
-                per_sample[rec.sample] = max(per_sample[rec.sample], rec.estimate.value)
-        if np.isinf(per_sample).any():
-            raise InvalidConfigError(f"method {method} is missing sample records")
-        means[method] = float(per_sample.mean())
-    return means
+    @property
+    def methods(self) -> tuple:
+        return tuple(self.config["methods"])
+
+    @property
+    def method_means(self) -> Dict[str, float]:
+        """Per method, the mean over samples of the per-sample maximum over
+        bidders (and items, for ``item``); defined only for a report that
+        ``validate_report`` accepts."""
+        per_sample = {method: np.full(self.samples, -np.inf) for method in self.methods}
+        for rec in self.records:
+            row = per_sample[rec.estimate.method]
+            row[rec.sample] = max(row[rec.sample], rec.estimate.value)
+        return {method: float(row.mean()) for method, row in per_sample.items()}
+
+    @property
+    def total_mech_evals(self) -> int:
+        return sum(rec.estimate.mech_evals for rec in self.records)
+
+    @property
+    def total_gradient_steps(self) -> int:
+        return sum(rec.estimate.gradient_steps for rec in self.records)
 
 
 def _estimate_to_dict(est: RegretEstimate) -> dict:
@@ -99,15 +101,22 @@ def _estimate_from_dict(data: dict) -> RegretEstimate:
     )
 
 
+def _summaries(report: AuditReport) -> dict:
+    """The summaries a report file stores beside its config and records."""
+    return {
+        "samples": report.samples,
+        "methods": list(report.methods),
+        "method_means": report.method_means,
+        "total_mech_evals": report.total_mech_evals,
+        "total_gradient_steps": report.total_gradient_steps,
+    }
+
+
 def report_to_dict(report: AuditReport) -> dict:
     return {
         "format_version": REPORT_FORMAT_VERSION,
         "config": report.config,
-        "samples": report.samples,
-        "methods": list(report.methods),
-        "method_means": dict(report.method_means),
-        "total_mech_evals": report.total_mech_evals,
-        "total_gradient_steps": report.total_gradient_steps,
+        **_summaries(report),
         "wall_seconds": report.wall_seconds,
         "records": [
             {"sample": rec.sample, **_estimate_to_dict(rec.estimate)}
@@ -117,84 +126,65 @@ def report_to_dict(report: AuditReport) -> dict:
 
 
 def report_from_dict(data: dict) -> AuditReport:
+    """The report a file stores; every stored summary must be exactly, type
+    included, the one its config and records give."""
     check_format(data, "report", REPORT_FORMAT_VERSION, ReportFormatError)
     try:
         records = [
             AuditRecord(sample=rec["sample"], estimate=_estimate_from_dict(rec))
             for rec in data["records"]
         ]
-        report = AuditReport(
-            config=data["config"],
-            samples=data["samples"],
-            methods=tuple(data["methods"]),
-            records=records,
-            method_means={k: check_float(v, f"method_means[{k!r}]")
-                          for k, v in data["method_means"].items()},
-            total_mech_evals=data["total_mech_evals"],
-            total_gradient_steps=data["total_gradient_steps"],
-            wall_seconds=data["wall_seconds"],
-        )
+        report = AuditReport(config=data["config"], records=records,
+                             wall_seconds=data["wall_seconds"])
         validate_report(report)  # a file that write_report refuses does not load
-        return report
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         # ValueError covers what the report types and validate_report reject
         raise ReportFormatError(f"malformed report: {exc}") from exc
+    for key, derived in _summaries(report).items():
+        # JSON text tells 1 from true and 1.0, and sorting ignores key order
+        if json.dumps(data.get(key), sort_keys=True) != json.dumps(derived, sort_keys=True):
+            raise ReportFormatError(f"malformed report: {key} {data.get(key)!r} is not "
+                                    f"{derived!r}, derived from its config and records")
+    return report
 
 
 def validate_report(report: AuditReport) -> None:
-    """Raise InvalidConfigError unless the report fits its own config: one
-    record per (sample, bidder, method), or m for ``item``, that fit the
-    setting, with totals and means recomputable from them."""
-    if report.samples < 1:
-        raise InvalidConfigError("a report must cover at least one sample")
-    if not report.records:
-        raise InvalidConfigError("a report must contain records")
+    """Raise InvalidConfigError unless the config gives a setting, a sample
+    count and methods, and the records fill exactly its cells: one record
+    per (sample, bidder, method), or m for ``item``, each best misreport a
+    row of m bids in [0, 1]."""
+    config = report.config
     try:
-        setting = AuctionSetting(report.config["setting"]["n"], report.config["setting"]["m"])
+        setting = AuctionSetting(config["setting"]["n"], config["setting"]["m"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidConfigError(f"report config has no valid setting: {exc!r}") from exc
+    check_int(config.get("samples"), "report config samples", 1, InvalidConfigError)
+    methods = config.get("methods")
+    if not methods:
+        raise InvalidConfigError(f"report config must name a method, got {methods!r}")
+    counts = Counter((rec.sample, rec.estimate.bidder, rec.estimate.method)
+                     for rec in report.records)
+    for cell in itertools.product(range(config["samples"]), range(setting.n), methods):
+        expected = setting.m if cell[2] == METHOD_ITEM else 1
+        found = counts.pop(cell, 0)
+        if found != expected:
+            raise InvalidConfigError(f"{found} records for (sample, bidder, method) {cell}, "
+                                     f"expected {expected}")
+    if counts:  # what is left lies outside the config's cells
+        raise InvalidConfigError(
+            f"record (sample, bidder, method) {next(iter(counts))} is outside samples="
+            f"{config['samples']}, n={setting.n} and methods {list(methods)}")
     for rec in report.records:
-        est = rec.estimate
-        if rec.sample >= report.samples:
-            raise InvalidConfigError(
-                f"record sample {rec.sample} out of range: samples={report.samples}")
-        if est.bidder >= setting.n:
-            raise InvalidConfigError(f"record bidder {est.bidder} out of range for n={setting.n}")
-        row = est.best_misreport
+        row = rec.estimate.best_misreport
         if row is not None and not (row.shape == (setting.m,)
                                     and row.min() >= 0.0 and row.max() <= 1.0):
             raise InvalidConfigError(f"record best_misreport {row.tolist()} "
                                      f"is not a row of m={setting.m} bids in [0, 1]")
-        if est.method not in report.methods:
-            raise InvalidConfigError(
-                f"record method {est.method!r} is not one of {list(report.methods)}")
-    if set(report.method_means) != set(report.methods):
-        raise InvalidConfigError(f"method_means names {list(report.method_means)}, "
-                                 f"expected the methods {list(report.methods)}")
-    counts = Counter((rec.sample, rec.estimate.bidder, rec.estimate.method)
-                     for rec in report.records)
-    for cell in itertools.product(range(report.samples), range(setting.n), report.methods):
-        expected = setting.m if cell[2] == METHOD_ITEM else 1
-        if counts[cell] != expected:
-            raise InvalidConfigError(f"{counts[cell]} records for (sample, bidder, method) "
-                                     f"{cell}, expected {expected}")
-    for total, field in (("total_mech_evals", "mech_evals"),
-                         ("total_gradient_steps", "gradient_steps")):
-        summed = sum(getattr(rec.estimate, field) for rec in report.records)
-        if getattr(report, total) != summed:
-            raise InvalidConfigError(f"{total} {getattr(report, total)} is not the records' "
-                                     f"sum of {field}, {summed}")
-    # means stay recomputable from the records
-    recomputed = compute_method_means(report.records, report.samples, report.methods)
-    for method, mean in report.method_means.items():
-        if abs(recomputed[method] - mean) > 1e-12:
-            raise InvalidConfigError(
-                f"stored mean for {method} ({mean}) deviates from records ({recomputed[method]})"
-            )
 
 
 def write_report(report: AuditReport, path) -> None:
-    """Persist a report; rejects empty reports before touching the file."""
+    """Persist a report; rejects one that does not fit its config before
+    touching the file."""
     validate_report(report)
     write_json(report_to_dict(report), path)
 

@@ -102,6 +102,13 @@ class TestEval:
         assert result.exit_code == 2
         assert "std" in result.output
 
+    def test_std_wider_than_the_bid_interval_exits_2(self, runner, tmp_path):
+        out = tmp_path / "report.json"
+        result = runner.invoke(cli, eval_args(out, dist="ctxnormal", std="1e5", samples=1))
+        assert result.exit_code == 2, result.output
+        assert "std must be <= 1" in result.output
+        assert not out.exists()
+
     def test_nonfinite_truthful_utility_exits_2(self, runner, tmp_path, monkeypatch):
         monkeypatch.delenv("REGRET_AUDIT_THREADS", raising=False)
         monkeypatch.setitem(ra.mechanisms.BUILTIN_MECHANISMS, "nan_payment", NanPaymentAuction)
@@ -140,6 +147,8 @@ class TestEval:
     def test_pooled_errors_keep_exit_codes(self, runner, tmp_path, monkeypatch):
         # both errors are raised in a pool task and reach the parent pickled
         monkeypatch.setenv("REGRET_AUDIT_THREADS", "2")
+        # run_audit starts at most one worker per CPU; pretend there are 2 so the pool starts
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
         out = tmp_path / "report.json"
         result = runner.invoke(cli, eval_args(
             out, methods="exhaustive", grid_q=100, max_grid_evals=100))

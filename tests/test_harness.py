@@ -12,6 +12,7 @@ import pytest
 import regret_audit as ra
 from regret_audit import harness, optimizer
 from regret_audit.harness import _Cell, _chunk_estimates, resolve_workers
+from regret_audit.report import report_to_dict
 from regret_audit.sampling import KIND_CONTEXTUAL
 
 from conftest import (NanAboveAuction, NanPaymentAuction, ShadedQuadraticMechanism,
@@ -143,7 +144,9 @@ class TestRunAudit:
         assert report.total_mech_evals == sum(r.estimate.mech_evals for r in report.records)
         assert report.total_gradient_steps == sum(r.estimate.gradient_steps for r in report.records)
 
-    def test_budget_exceeded_propagates(self):
+    def test_budget_exceeded_propagates(self, monkeypatch):
+        # run_audit starts at most one worker per CPU; pretend there are 2 so the pool starts
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
         cfg = small_cfg(methods=("exhaustive",), grid=ra.GridSpec(100), max_grid_evals=100)
         # from a pool worker the error arrives pickled; it used to break the pool
         for workers in (1, 2):
@@ -152,7 +155,9 @@ class TestRunAudit:
             assert (info.value.required, info.value.budget) == (101 ** 2 + 2, 100)
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_item_scan_budget_exceeded(self, workers):
+    def test_item_scan_budget_exceeded(self, workers, monkeypatch):
+        # run_audit starts at most one worker per CPU; pretend there are 2 so the pool starts
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
         # the shared item scan is charged m(q+2)+1 against max_grid_evals
         cfg = small_cfg(mechanism="first_price", methods=("lower_bound",),
                         grid=ra.GridSpec(100000), max_grid_evals=100)
@@ -284,7 +289,33 @@ class TestLockstepAccounting:
             assert np.array_equal(est.best_misreport, ref.best_misreport)
 
 
+class UnevenChargeMechanism(ShadedQuadraticMechanism):
+    """The shaded mechanism, but its gradient charges one evaluation per call
+    instead of one per row."""
+
+    def _gradient_batch(self, batch, bidder, v):
+        own = batch[np.arange(batch.shape[0]), bidder]
+        self._charge(1)
+        n = self.setting.n
+        return (v * own - own * own / 4).sum(axis=1) / n, (v - own / 2) / n
+
+
 class TestGradientHook:
+    def test_uneven_charging_is_a_typed_error(self, monkeypatch):
+        # used to fail a bare assert, which python -O strips, leaving divmod to
+        # drop the remainder from every record's mech_evals; 5 gradient calls
+        # of 1 and the final utilities of 3 rows charge 8
+        mech = UnevenChargeMechanism(ra.AuctionSetting(2, 2))
+        with pytest.raises(ra.InvalidInputError,
+                           match="charged 8 evaluations for 3 lockstep rows"):
+            ra.random_restart_pga(mech, [[0.3, 0.4], [0.2, 0.5]], 0, ra.PgaConfig(0.1, 3, 5), 1)
+        monkeypatch.setitem(ra.mechanisms.BUILTIN_MECHANISMS, "uneven", UnevenChargeMechanism)
+        cfg = small_cfg(mechanism="uneven", methods=("pga",), samples=2,
+                        pga=ra.PgaConfig(0.1, 3, 5))
+        with pytest.raises(ra.InvalidInputError,
+                           match="charged 17 evaluations for 12 lockstep rows"):
+            ra.run_audit(cfg, workers=1)
+
     def test_custom_hook_drives_both_ascents(self, monkeypatch):
         # a mechanism that implements only _run_batch and _gradient_batch:
         # one evaluation per gradient, not finite differences' 2m+1
@@ -399,7 +430,9 @@ class TestDeterminism:
         golden = gen_goldens.REPORT_OUT.read_text(encoding="utf-8")
         assert gen_goldens.golden_report_text(tmp_path) == golden
 
-    def test_parallel_matches_serial_bitwise(self):
+    def test_parallel_matches_serial_bitwise(self, monkeypatch):
+        # run_audit starts at most one worker per CPU; pretend there are 4 so the pool starts
+        monkeypatch.setattr("os.cpu_count", lambda: 4)
         serial = ra.run_audit(small_cfg(samples=8), workers=1)
         parallel = ra.run_audit(small_cfg(samples=8), workers=4)
         assert serial.method_means == parallel.method_means
@@ -408,6 +441,30 @@ class TestDeterminism:
             assert rec_s.estimate.mech_evals == rec_p.estimate.mech_evals
             ms, mp = rec_s.estimate.best_misreport, rec_p.estimate.best_misreport
             assert (ms is None and mp is None) or np.array_equal(ms, mp)
+
+    def test_pool_has_at_most_one_worker_per_cpu(self, monkeypatch):
+        # a fake pool that records its size and maps serially: no process starts
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+        pooled = ra.run_audit(small_cfg(samples=8), workers=64)
+        assert sizes == [2]
+        serial = ra.run_audit(small_cfg(samples=8), workers=1)
+        assert strip_wall(report_to_dict(pooled)) == strip_wall(report_to_dict(serial))
 
     def test_worker_resolution(self, monkeypatch):
         monkeypatch.delenv("REGRET_AUDIT_THREADS", raising=False)
@@ -436,6 +493,11 @@ class TestReportIO:
             assert a.estimate.wall_seconds == b.estimate.wall_seconds
             ma, mb = a.estimate.best_misreport, b.estimate.best_misreport
             assert (ma is None and mb is None) or np.array_equal(ma, mb)
+        # the stored means must equal the derived ones in any key order
+        data = json.loads(path.read_text())
+        data["method_means"] = dict(reversed(list(data["method_means"].items())))
+        path.write_text(json.dumps(data))
+        assert ra.read_report(path).method_means == report.method_means
 
     def test_unknown_version_rejected(self, tmp_path):
         report = ra.run_audit(small_cfg(samples=2))
@@ -449,7 +511,8 @@ class TestReportIO:
             ({**data, "samples": "x"}, "malformed"),
             ({**data, "records": [{**data["records"][0], "value": -1.0}]}, "malformed"),
             # integers and flags are never coerced: these used to read as 2, 1 and True
-            ({**data, "samples": 2.7}, "malformed.*samples must be an integer"),
+            ({**data, "samples": 2.7}, "malformed.*samples 2.7 is not 2"),
+            ({**data, "samples": True}, "malformed.*samples True is not 2"),
             ({**data, "records": [{**data["records"][0], "bidder": 1.9}]},
              "malformed.*bidder must be an integer"),
             ({**data, "records": [{**data["records"][0], "flagged": "false"}]},
@@ -458,16 +521,26 @@ class TestReportIO:
             ({**data, "records": [{**data["records"][0], "value": "0.5"}, *data["records"][1:]]},
              "malformed.*value must be a number"),
             ({**data, "method_means": {**data["method_means"], data["methods"][0]: "0.5"}},
-             "malformed.*must be a number"),
+             "malformed.*method_means .*'0.5'.* is not"),
+            ({**data, "method_means": {**data["method_means"], data["methods"][0]:
+                                       data["method_means"][data["methods"][0]] + 1e-6}},
+             "malformed.*method_means .* is not"),
             # a record past the sample count used to load
             ({**data, "records": [*data["records"], {**data["records"][0], "sample": 2}]},
-             "malformed.*sample 2 out of range"),
+             r"malformed.*\(2, 0, 'lower_bound'\) is outside samples=2"),
+            # so did a config echo the records do not fill
+            ({**data, "config": {**data["config"], "samples": 99}},
+             r"malformed.*0 records for .*\(2, 0, 'lower_bound'\), expected 1"),
+            ({**data, "config": {**data["config"], "methods": ["exhaustive"]}},
+             r"malformed.*0 records for .*\(0, 0, 'exhaustive'\), expected 1"),
             # nor did these records and totals, which do not fit the report
             ({**data, "total_mech_evals": 1}, "malformed.*total_mech_evals 1 is not"),
             ({**data, "total_gradient_steps": 123456},
              "malformed.*total_gradient_steps 123456 is not"),
             ({**data, "records": [{**data["records"][0], "bidder": 7}, *data["records"][1:]]},
-             "malformed.*bidder 7 out of range"),
+             r"malformed.*0 records for .*\(0, 0, 'lower_bound'\), expected 1"),
+            ({**data, "records": [*data["records"], {**data["records"][0], "bidder": 7}]},
+             r"malformed.*\(0, 7, 'lower_bound'\) is outside samples=2, n=2"),
             ({**data, "records": [{**data["records"][0], "best_misreport": [0.1, 0.2, 0.3]},
                                   *data["records"][1:]]},
              r"malformed.*\[0.1, 0.2, 0.3\] is not a row of m=2"),
@@ -483,7 +556,7 @@ class TestReportIO:
 
     def test_zero_sample_report_rejected_at_write(self, tmp_path):
         report = ra.run_audit(small_cfg(samples=2))
-        report.samples = 0
+        report.config["samples"] = 0
         report.records = []
         with pytest.raises(ra.InvalidConfigError):
             ra.write_report(report, tmp_path / "r.json")
@@ -492,8 +565,9 @@ class TestReportIO:
     def test_record_sample_out_of_range_rejected_at_write(self, tmp_path):
         # used to raise a raw IndexError
         report = ra.run_audit(small_cfg(samples=2))
-        report.records[0].sample = 5
-        with pytest.raises(ra.InvalidConfigError, match="sample 5 out of range"):
+        report.records.append(ra.AuditRecord(5, report.records[0].estimate))
+        with pytest.raises(ra.InvalidConfigError,
+                           match=r"\(5, 0, 'lower_bound'\) is outside samples=2"):
             ra.write_report(report, tmp_path / "r.json")
         assert not (tmp_path / "r.json").exists()
 
@@ -501,10 +575,14 @@ class TestReportIO:
         # each of these reports used to be written, and read back
         report = ra.run_audit(small_cfg(samples=2))
         mutations = [
-            (lambda r: setattr(r, "total_mech_evals", 1), "total_mech_evals 1 is not"),
-            (lambda r: setattr(r, "total_gradient_steps", r.total_gradient_steps + 1),
-             "total_gradient_steps .* is not"),
-            (lambda r: setattr(r.records[0].estimate, "bidder", 7), "bidder 7 out of range"),
+            (lambda r: setattr(r.records[0].estimate, "bidder", 7),
+             r"0 records for .*\(0, 0, 'lower_bound'\), expected 1"),
+            (lambda r: r.records.append(ra.AuditRecord(0, replace(r.records[0].estimate,
+                                                                  bidder=7))),
+             r"\(0, 7, 'lower_bound'\) is outside samples=2, n=2"),
+            (lambda r: r.config.update(methods=[]), r"must name a method, got \[\]"),
+            (lambda r: r.config.update(methods=["exhaustive"]),
+             r"0 records for .*\(0, 0, 'exhaustive'\), expected 1"),
             (lambda r: setattr(r.records[0].estimate, "best_misreport", np.zeros(3)),
              "is not a row of m=2"),
             # written with NaN in the JSON, which read_report then refused
@@ -521,24 +599,15 @@ class TestReportIO:
                 ra.write_report(bad, tmp_path / "r.json")
             assert not (tmp_path / "r.json").exists()
 
-    def test_means_recomputable_check(self, tmp_path):
-        report = ra.run_audit(small_cfg(samples=2))
-        report.method_means[report.methods[0]] += 1e-6
-        with pytest.raises(ra.InvalidConfigError, match="deviates"):
-            ra.write_report(report, tmp_path / "r.json")
-
     def test_means_must_name_the_methods(self, tmp_path):
         # a mean of a method the report does not list raised a raw KeyError
         report = ra.run_audit(small_cfg(methods=("item_wise",), samples=2))
         path = tmp_path / "r.json"
         ra.write_report(report, path)
         data = json.loads(path.read_text())
-        report.method_means["pga"] = 0.1
-        with pytest.raises(ra.InvalidConfigError, match="method_means names"):
-            ra.write_report(report, path)
         for means in ({**data["method_means"], "pga": 0.1}, {}):
             path.write_text(json.dumps({**data, "method_means": means}))
-            with pytest.raises(ra.ReportFormatError, match="method_means names"):
+            with pytest.raises(ra.ReportFormatError, match="malformed.*method_means .* is not"):
                 ra.read_report(path)
 
 

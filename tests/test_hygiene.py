@@ -1,6 +1,7 @@
 """Source hygiene: every name a package module imports is used there, every
-name the benchmark tracer binds exists, and every number a config type,
-record type or entry takes goes through ``check_int`` or ``check_float``."""
+name the benchmark tracer binds exists, every number a config type, record
+type or entry takes goes through ``check_int`` or ``check_float``, and every
+typed error that no other test reaches is raised where it should be."""
 
 import ast
 import dataclasses
@@ -78,6 +79,9 @@ SETTING = ra.AuctionSetting(2, 2)
 PROFILE = [[0.3, 0.4], [0.2, 0.5]]
 ESTIMATE = ra.RegretEstimate(ra.METHOD_EXHAUSTIVE, 0, 0.0, None, 1, 0.0)
 RECORD = ra.AuditRecord(0, ESTIMATE)
+AUDIT_CONFIG = ra.AuditRunConfig(SETTING, "second_price", ra.ValuationDistribution(),
+                                 ra.GridSpec(4), (ra.METHOD_EXHAUSTIVE,), ra.PgaConfig(0.1, 1, 1),
+                                 ra.PortfolioConfig(), samples=1, seed=0)
 #: one valid instance of each exported config and record type
 VALID_INSTANCES = (
     SETTING,
@@ -85,13 +89,10 @@ VALID_INSTANCES = (
     ra.PgaConfig(0.1, 1, 1),
     ra.PortfolioConfig(),
     ra.ValuationDistribution(),
-    ra.AuditRunConfig(SETTING, "second_price", ra.ValuationDistribution(), ra.GridSpec(4),
-                      (ra.METHOD_EXHAUSTIVE,), ra.PgaConfig(0.1, 1, 1), ra.PortfolioConfig(),
-                      samples=1, seed=0),
+    AUDIT_CONFIG,
     ESTIMATE,
     RECORD,
-    ra.AuditReport({}, 1, (ra.METHOD_EXHAUSTIVE,), [RECORD], {ra.METHOD_EXHAUSTIVE: 0.0},
-                   1, 0, 0.0),
+    ra.AuditReport({}, [RECORD], 0.0),
     ra.generate_neural_spec(SETTING, 2, 0),
 )
 #: values every int or float field must refuse; a tuple-of-int field, each
@@ -148,3 +149,43 @@ def test_every_integer_argument_is_checked(entry, bad):
     with pytest.raises(ra.AuditError):
         INT_ENTRIES[entry](mech, bad)
     assert mech.evaluations == 0
+
+
+def not_json(directory):
+    path = directory / "not.json"
+    path.write_text("{")
+    return path
+
+
+#: a call for each raise site that no other test reaches, and the typed error
+#: it must raise
+UNREACHED_RAISES = {
+    "context above 10": (ra.InvalidConfigError, lambda tmp: ra.ValuationDistribution(
+        "truncated_normal_context", (11, 1), (1, 1))),
+    "contexts of the wrong length": (ra.InvalidConfigError, lambda tmp: ra.sample_valuations(
+        ra.ValuationDistribution("truncated_normal_context", (1, 2, 3), (1, 2)), SETTING, 0, 0)),
+    "item >= m": (ra.InvalidInputError, lambda tmp: ra.item_regret(
+        ra.PerItemFirstPriceAuction(SETTING), PROFILE, 0, 2, ra.GridSpec(4))),
+    "non-finite spec weight": (ra.MechanismLoadError, lambda tmp: dataclasses.replace(
+        ra.generate_neural_spec(SETTING, 2, 0), bias_in=[0.0, math.nan])),
+    "spec file not JSON": (ra.MechanismLoadError,
+                           lambda tmp: ra.read_neural_spec(not_json(tmp))),
+    "report file not JSON": (ra.ReportFormatError, lambda tmp: ra.read_report(not_json(tmp))),
+    "pga_single start shape": (ra.InvalidInputError, lambda tmp: ra.pga_single(
+        ra.PerItemFirstPriceAuction(SETTING), PROFILE, 0, [0.5], 0.1, 1)),
+    "2-D item_argmaxes": (ra.InvalidInputError, lambda tmp: ra.build_portfolio(
+        PROFILE, 0, [[0.5, 0.5]], ra.PortfolioConfig(), 0)),
+    "mechanism source 42": (ra.MechanismLoadError,
+                            lambda tmp: ra.resolve_mechanism(42, SETTING)),
+    "no sweep L values": (ra.InvalidConfigError,
+                          lambda tmp: ra.run_sweep(AUDIT_CONFIG, [], [1])),
+    "no sweep R values": (ra.InvalidConfigError,
+                          lambda tmp: ra.run_sweep(AUDIT_CONFIG, [1], [])),
+}
+
+
+@pytest.mark.parametrize("case", UNREACHED_RAISES)
+def test_every_raise_site_raises_its_typed_error(case, tmp_path):
+    error, call = UNREACHED_RAISES[case]
+    with pytest.raises(error):
+        call(tmp_path)

@@ -83,18 +83,20 @@ def test_reports_equal_across_worker_counts(seed, tmp_path_factory):
     # 5 samples: 2 workers split them 3 + 2, 3 workers 2 + 2 + 1
     out = tmp_path_factory.mktemp("workers")
     texts = []
-    for workers in (1, 2, 3):
-        cfg = ra.AuditRunConfig(
-            setting=SETTING, mechanism=ra.generate_neural_spec(SETTING, 8, 42),
-            distribution=ra.ValuationDistribution(), grid=ra.GridSpec(10),
-            methods=("lower_bound", "item_wise", "pga", "guided"),
-            pga=ra.PgaConfig(0.1, 3, 10),
-            portfolio=ra.PortfolioConfig(k=1, sigma_opt=0.2, sigma_truth=0.2,
-                                         refine=ra.PgaConfig(0.1, 1, 10)),
-            samples=5, seed=seed, out=str(out / f"{workers}.json"))
-        ra.run_audit(cfg, workers=workers)
-        texts.append(json.dumps(_zero_wall(json.loads((out / f"{workers}.json").read_text())),
-                                sort_keys=True))
+    # run_audit starts at most one worker per CPU; pretend there are 3 so each split runs
+    with mock.patch("os.cpu_count", return_value=3):
+        for workers in (1, 2, 3):
+            cfg = ra.AuditRunConfig(
+                setting=SETTING, mechanism=ra.generate_neural_spec(SETTING, 8, 42),
+                distribution=ra.ValuationDistribution(), grid=ra.GridSpec(10),
+                methods=("lower_bound", "item_wise", "pga", "guided"),
+                pga=ra.PgaConfig(0.1, 3, 10),
+                portfolio=ra.PortfolioConfig(k=1, sigma_opt=0.2, sigma_truth=0.2,
+                                             refine=ra.PgaConfig(0.1, 1, 10)),
+                samples=5, seed=seed, out=str(out / f"{workers}.json"))
+            ra.run_audit(cfg, workers=workers)
+            texts.append(json.dumps(_zero_wall(json.loads((out / f"{workers}.json").read_text())),
+                                    sort_keys=True))
     assert texts[0] == texts[1] == texts[2]
 
 

@@ -95,9 +95,10 @@ class TestContextual:
         with pytest.raises(ra.InvalidConfigError):
             ra.ValuationDistribution(std=0.0)
 
-    @pytest.mark.parametrize("std", [float("inf"), float("nan"), -0.05])
+    @pytest.mark.parametrize("std", [float("inf"), float("nan"), -0.05, 1.5, 1e5])
     def test_std_must_be_finite_and_positive(self, std):
-        # an infinite std would make the truncation redraw loop never end
+        # an infinite std would make the truncation redraw loop never end, and
+        # one wider than [0, 1] makes it take rounds without bound (10 s at 1e5)
         with pytest.raises(ra.InvalidConfigError):
             ra.ValuationDistribution(kind="truncated_normal_context", x_contexts=(1,),
                                      y_contexts=(2,), std=std)
