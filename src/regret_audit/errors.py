@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the number checks that raise them.
+"""Exception types shared across the package, and the checks that raise them.
 
 CLI exit codes: invalid inputs/config map to 2, grid budget overruns to 3,
 and I/O or report-format failures to 4.
@@ -48,6 +48,13 @@ def check_int(value, what: str, minimum: int, error=InvalidInputError) -> None:
     """Raise ``error`` unless ``value`` is an integer (no float, no bool) >= ``minimum``."""
     if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < minimum:
         raise error(f"{what} must be an integer >= {minimum}, got {value!r}")
+
+
+def check_type(value, what: str, types, error=InvalidInputError) -> None:
+    """Raise ``error`` unless ``value`` is an instance of ``types`` (a class or a tuple)."""
+    if not isinstance(value, types):
+        names = " or ".join(t.__name__ for t in (types if isinstance(types, tuple) else (types,)))
+        raise error(f"{what} must be of type {names}, got {value!r}")
 
 
 def check_float(value, what: str, positive: bool = False, error=InvalidInputError) -> float:

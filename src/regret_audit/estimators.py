@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import BudgetExceededError, InvalidInputError, check_float, check_int
-from .mechanisms import Mechanism, check_query
+from .mechanisms import Mechanism, as_floats, check_query
 
 DEFAULT_EVAL_BUDGET = 10**8
 _SCAN_CHUNK = 8192
@@ -64,6 +64,11 @@ class GridSpec:
             raise InvalidInputError(f"unknown grid style {self.style!r}")
 
     @property
+    def size(self) -> int:
+        """The number of points, known without building them."""
+        return self.q + 1 if self.style == GRID_STYLE_INCLUSIVE else self.q
+
+    @property
     def points(self) -> np.ndarray:
         if self.style == GRID_STYLE_INCLUSIVE:
             return np.arange(self.q + 1, dtype=np.float64) / self.q
@@ -90,6 +95,8 @@ class RegretEstimate:
         self.wall_seconds = check_float(self.wall_seconds, "wall_seconds")
         if not isinstance(self.flagged, bool):
             raise InvalidInputError(f"flagged must be a bool, got {self.flagged!r}")
+        if self.best_misreport is not None:
+            self.best_misreport = as_floats(self.best_misreport, "best_misreport")
 
 
 def _prepare(mech: Mechanism, profile, bidder: int):
@@ -186,8 +193,9 @@ def _grid_best(mech: Mechanism, profile: np.ndarray, bidder: int, base: float, a
 
 
 def _check_budget(max_evals: int, scan_rows) -> None:
-    """Refuse, before any evaluation, a worst case over ``max_evals``: the
-    truthful evaluation, and per grid scan its rows and an off-grid truthful row."""
+    """Refuse, before any evaluation or grid point is made, a worst case over
+    ``max_evals``: the truthful evaluation, and per grid scan its rows and an
+    off-grid truthful row."""
     check_int(max_evals, "max_evals", 1)
     required = 1 + sum(rows + 1 for rows in scan_rows)
     if required > max_evals:
@@ -200,9 +208,9 @@ def _scan_all_items(mech: Mechanism, profile, bidder: int, grid: GridSpec,
     truthful evaluation, then q+1 rows per item plus one more per off-grid
     truthful coordinate, which pins that item's gain floor at 0. The budget
     is charged that worst case, m(q+2)+1 on the inclusive grid."""
-    pts = grid.points
     m = mech.setting.m
-    _check_budget(max_evals, [pts.size] * m)
+    _check_budget(max_evals, [grid.size] * m)
+    pts = grid.points
     evals0 = mech.evaluations
     profile, base = _prepare(mech, profile, bidder)
     truthful = profile[bidder]
@@ -224,9 +232,9 @@ def exhaustive_regret(mech: Mechanism, profile, bidder: int, grid: GridSpec,
     is charged the worst case, (q+1)^m + 2 (see ``_check_budget``).
     """
     t0 = time.perf_counter()
-    pts = grid.points
     m = mech.setting.m
-    _check_budget(max_evals, [int(pts.size) ** m])
+    _check_budget(max_evals, [grid.size ** m])
+    pts = grid.points
     evals0 = mech.evaluations
     profile, base = _prepare(mech, profile, bidder)
     value, best_row = _grid_best(mech, profile, bidder, base, [pts] * m)

@@ -7,7 +7,9 @@ into one contiguous chunk per worker (a serial run is one chunk), and each
 search method climbs every (sample, bidder) of a chunk in lockstep. Records
 are assembled in (sample, bidder, method) order, so parallel and serial runs
 produce identical reports up to wall-clock fields. Methods are dispatched
-through one ordered registry, ``METHODS``.
+through one ordered registry, ``METHODS``, whose entries read their grids
+and search settings from the audit's config; a cell holds only its sample,
+profile, bidder and search seed.
 """
 
 from __future__ import annotations
@@ -16,14 +18,14 @@ import csv
 import os
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Union
 
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
 from . import estimators, rng
-from .errors import InvalidConfigError, MechanismLoadError, check_int
+from .errors import InvalidConfigError, MechanismLoadError, check_int, check_type
 from .estimators import (
     DEFAULT_EVAL_BUDGET,
     METHOD_EXHAUSTIVE,
@@ -67,59 +69,41 @@ THREADS_ENV_VAR = "REGRET_AUDIT_THREADS"
 
 @dataclass(frozen=True)
 class _Cell:
-    """One (sample, bidder) of an audit and the settings its methods read."""
+    """One (sample, bidder) of an audit: what differs from cell to cell."""
 
-    mech: Mechanism
+    sample: int
     profile: np.ndarray
     bidder: int
-    grid: GridSpec
-    guided_grid: GridSpec
-    max_evals: int
-    pga: PgaConfig
-    portfolio: PortfolioConfig
     seed: int  # search seed
 
 
-#: one method over a chunk of cells: (cells, each cell's item scan or None)
-#: -> each cell's estimates in record order
-_ChunkRunner = Callable[[Sequence[_Cell], Sequence[Optional[ItemScan]]], List[List[RegretEstimate]]]
+def _guided(cfg, mech, cells, scans):
+    """The ``METHODS`` entry of guided refinement, on the guided grid."""
+    grid = cfg.guided_grid or cfg.grid
+    return [[est] for est in run_searches(mech, (
+        guided_search(mech, c.profile, c.bidder, grid, cfg.portfolio, c.seed, scan=scan)
+        for c, scan in zip(cells, scans(grid))), cfg.portfolio.refine)]
 
 
-def _per_cell(run: Callable[[_Cell, Optional[ItemScan]], List[RegretEstimate]]) -> _ChunkRunner:
-    """A chunk runner that runs ``run`` on each cell on its own."""
-    return lambda cells, scans: [run(cell, scan) for cell, scan in zip(cells, scans)]
-
-
-def _lockstep(search: Callable[[_Cell, Optional[ItemScan]], object]) -> _ChunkRunner:
-    """A chunk runner that climbs every cell's ``search`` in one lockstep."""
-    return lambda cells, scans: [[est] for est in run_searches(
-        cells[0].mech, (search(cell, scan) for cell, scan in zip(cells, scans)))]
-
-
-@dataclass(frozen=True)
-class _Method:
-    run: _ChunkRunner
-    #: the cell grid whose item scan the method derives from
-    scan_grid: Optional[str] = None
-
-
-#: every method in canonical record order. The estimator functions are looked
-#: up by name at call time, so wrappers bound on this module see every call.
+#: every method in canonical record order: (cfg, mech, cells, scans) -> each
+#: cell's estimates, where scans(grid) is each cell's item scan on grid. The
+#: estimators are looked up by name at call time, so wrappers bound on this
+#: module see every call.
 METHODS = {
-    METHOD_EXHAUSTIVE: _Method(_per_cell(lambda c, _: [exhaustive_regret(
-        c.mech, c.profile, c.bidder, c.grid, max_evals=c.max_evals)])),
-    METHOD_ITEM: _Method(_per_cell(lambda c, scan: [
-        item_regret(c.mech, c.profile, c.bidder, j, c.grid, scan=scan)
-        for j in range(c.mech.setting.m)]), scan_grid="grid"),
-    METHOD_LOWER_BOUND: _Method(_per_cell(lambda c, scan: [lower_bound_regret(
-        c.mech, c.profile, c.bidder, c.grid, scan=scan)]), scan_grid="grid"),
-    METHOD_ITEM_WISE: _Method(_per_cell(lambda c, scan: [item_wise_regret(
-        c.mech, c.profile, c.bidder, c.grid, scan=scan)]), scan_grid="grid"),
-    METHOD_PGA: _Method(_lockstep(lambda c, _: pga_search(
-        c.mech, c.profile, c.bidder, c.pga, c.seed))),
-    METHOD_GUIDED: _Method(_lockstep(lambda c, scan: guided_search(
-        c.mech, c.profile, c.bidder, c.guided_grid, c.portfolio, c.seed, scan=scan)),
-        scan_grid="guided_grid"),
+    METHOD_EXHAUSTIVE: lambda cfg, mech, cells, scans: [[exhaustive_regret(
+        mech, c.profile, c.bidder, cfg.grid, max_evals=cfg.max_grid_evals)] for c in cells],
+    METHOD_ITEM: lambda cfg, mech, cells, scans: [[
+        item_regret(mech, c.profile, c.bidder, j, cfg.grid, scan=scan)
+        for j in range(mech.setting.m)] for c, scan in zip(cells, scans(cfg.grid))],
+    METHOD_LOWER_BOUND: lambda cfg, mech, cells, scans: [
+        [lower_bound_regret(mech, c.profile, c.bidder, cfg.grid, scan=scan)]
+        for c, scan in zip(cells, scans(cfg.grid))],
+    METHOD_ITEM_WISE: lambda cfg, mech, cells, scans: [
+        [item_wise_regret(mech, c.profile, c.bidder, cfg.grid, scan=scan)]
+        for c, scan in zip(cells, scans(cfg.grid))],
+    METHOD_PGA: lambda cfg, mech, cells, scans: [[est] for est in run_searches(mech, (
+        pga_search(mech, c.profile, c.bidder, cfg.pga, c.seed) for c in cells), cfg.pga)],
+    METHOD_GUIDED: _guided,
 }
 
 #: methods run_audit can execute, in canonical record order
@@ -148,6 +132,11 @@ class AuditRunConfig:
     max_grid_evals: int = DEFAULT_EVAL_BUDGET
 
     def __post_init__(self):
+        for name, types in (("setting", AuctionSetting), ("mechanism", (str, NeuralMechanismSpec)),
+                            ("distribution", ValuationDistribution), ("grid", GridSpec),
+                            ("guided_grid", (GridSpec, type(None))), ("pga", PgaConfig),
+                            ("portfolio", PortfolioConfig)):
+            check_type(getattr(self, name), name, types, InvalidConfigError)
         check_int(self.samples, "samples", 1, InvalidConfigError)
         check_int(self.seed, "seed", 0, InvalidConfigError)
         check_int(self.max_grid_evals, "max_grid_evals", 1, InvalidConfigError)
@@ -211,9 +200,10 @@ def config_echo(cfg: AuditRunConfig) -> dict:
     }
 
 
-def _chunk_estimates(cells: Sequence[_Cell], methods: tuple) -> List[List[RegretEstimate]]:
-    """Run canonically ordered ``methods`` on every cell of a chunk; returns
-    each cell's estimates in record order.
+def _chunk_estimates(cfg: AuditRunConfig, mech: Mechanism,
+                     cells: Sequence[_Cell]) -> List[List[RegretEstimate]]:
+    """Run ``cfg.methods`` on every cell of a chunk; returns each cell's
+    estimates in record order.
 
     Each method runs over the whole chunk, so a search method climbs the
     candidates of every cell together. At most one item scan is computed per
@@ -221,42 +211,37 @@ def _chunk_estimates(cells: Sequence[_Cell], methods: tuple) -> List[List[Regret
     of their records still counts the scan's full evaluations; its seconds
     go to the first record using it.
     """
-    scans = [{} for _ in cells]  # per cell: grid -> its item scan
-    per_method = []
-    for name in methods:
-        method = METHODS[name]
-        cell_scans, scan_seconds = [], []
-        for cell, cell_cache in zip(cells, scans):
-            grid = getattr(cell, method.scan_grid) if method.scan_grid else None
-            t0 = time.perf_counter()
-            if grid is not None and grid not in cell_cache:
-                # looked up on the module at call time, like the estimators above
-                cell_cache[grid] = estimators._scan_all_items(
-                    cell.mech, cell.profile, cell.bidder, grid, cell.max_evals)
-            cell_scans.append(cell_cache.get(grid))
-            scan_seconds.append(time.perf_counter() - t0)
-        estimates = method.run(cells, cell_scans)
-        for cell_estimates, seconds in zip(estimates, scan_seconds):
-            cell_estimates[0].wall_seconds += seconds
-        per_method.append(estimates)
-    return [[est for estimates in cell_methods for est in estimates]
-            for cell_methods in zip(*per_method)]
+    cache, pending = {}, [0.0] * len(cells)  # grid -> each cell's scan; seconds not yet charged
+
+    def scans(grid: GridSpec) -> List[ItemScan]:
+        if grid not in cache:
+            cache[grid] = []
+            for i, cell in enumerate(cells):
+                t0 = time.perf_counter()
+                # looked up on the module at call time, like the estimators
+                cache[grid].append(estimators._scan_all_items(
+                    mech, cell.profile, cell.bidder, grid, cfg.max_grid_evals))
+                pending[i] += time.perf_counter() - t0
+        return cache[grid]
+
+    per_cell = [[] for _ in cells]
+    for name in cfg.methods:
+        for i, estimates in enumerate(METHODS[name](cfg, mech, cells, scans)):
+            estimates[0].wall_seconds += pending[i]
+            pending[i] = 0.0
+            per_cell[i] += estimates
+    return per_cell
 
 
 def _chunk_records(cfg: AuditRunConfig, samples: Sequence[int]) -> List[AuditRecord]:
     """The records of a chunk of samples, in (sample, bidder, method) order:
     the one task of an audit, run once serially or once per pool worker."""
     mech = resolve_mechanism(cfg.mechanism, cfg.setting)
-    cells, cell_samples = [], []
-    for sample in samples:
-        profile = sample_valuations(cfg.distribution, cfg.setting, sample, cfg.seed)
-        for bidder in range(cfg.setting.n):
-            cells.append(_Cell(mech, profile, bidder, cfg.grid, cfg.guided_grid or cfg.grid,
-                               cfg.max_grid_evals, cfg.pga, cfg.portfolio,
-                               rng.derive_seed(cfg.seed, rng.STREAM_SEARCH, sample, bidder)))
-            cell_samples.append(sample)
-    return [AuditRecord(sample=sample, estimate=est)
-            for sample, estimates in zip(cell_samples, _chunk_estimates(cells, cfg.methods))
+    profiles = {s: sample_valuations(cfg.distribution, cfg.setting, s, cfg.seed) for s in samples}
+    cells = [_Cell(s, profiles[s], b, rng.derive_seed(cfg.seed, rng.STREAM_SEARCH, s, b))
+             for s in samples for b in range(cfg.setting.n)]
+    return [AuditRecord(sample=cell.sample, estimate=est)
+            for cell, estimates in zip(cells, _chunk_estimates(cfg, mech, cells))
             for est in estimates]
 
 

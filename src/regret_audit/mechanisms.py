@@ -18,7 +18,7 @@ from typing import Tuple
 import numpy as np
 
 from . import rng
-from .errors import InvalidInputError, MechanismLoadError, check_int
+from .errors import InvalidInputError, MechanismLoadError, check_int, check_type
 
 FD_STEP = 1e-5
 
@@ -314,6 +314,7 @@ class NeuralMechanismSpec:
     bias_pay: np.ndarray
 
     def __post_init__(self):
+        check_type(self.setting, "setting", AuctionSetting, MechanismLoadError)
         check_int(self.hidden_width, "hidden_width", 1)
         n, m, h = self.setting.n, self.setting.m, self.hidden_width
         for field_name, shape_of in _SPEC_SHAPES.items():

@@ -19,7 +19,7 @@ from typing import Iterable, List, Optional, Sequence
 import numpy as np
 
 from . import rng
-from .errors import InvalidInputError, check_float, check_int
+from .errors import InvalidInputError, check_float, check_int, check_type
 from .estimators import (
     METHOD_GUIDED,
     METHOD_PGA,
@@ -87,6 +87,7 @@ class PortfolioConfig:
         check_int(self.k, "k", 0)
         check_float(self.sigma_opt, "sigma_opt")
         check_float(self.sigma_truth, "sigma_truth")
+        check_type(self.refine, "refine", PgaConfig)
 
 
 #: portfolio presets matched to the models' misreport landscapes
@@ -152,16 +153,14 @@ class _Search:
     bidder: int
     base: float  # truthful utility every gain is measured against
     starts: np.ndarray
-    gamma: float
-    steps: int
     evals: int  # evaluations spent before the ascent
     seconds: float
     scan: Optional[ItemScan] = None  # guided's grid phase, the result's floor
 
 
 def _finish(search: _Search, best_rows: np.ndarray, best_utils: np.ndarray,
-            frozen: np.ndarray, evals: int, seconds: float) -> RegretEstimate:
-    """Reduce one search's ascended rows to its estimate.
+            frozen: np.ndarray, evals: int, seconds: float, steps: int) -> RegretEstimate:
+    """Reduce one search's rows, ascended ``steps`` steps each, to its estimate.
 
     Candidates with a non-finite best utility are left out and flag the
     estimate; none finite is an InvalidInputError. Guided refinement never
@@ -182,39 +181,38 @@ def _finish(search: _Search, best_rows: np.ndarray, best_utils: np.ndarray,
     value, row = _clamp_gain(value, row, search.profile[search.bidder])
     return RegretEstimate(search.method, search.bidder, value, row, search.evals + evals,
                           search.seconds + seconds + time.perf_counter() - t0,
-                          gradient_steps=len(search.starts) * search.steps,
+                          gradient_steps=len(search.starts) * steps,
                           flagged=bool(frozen.any() or not finite.all()))
 
 
-def run_searches(mech: Mechanism, searches: Iterable[_Search]) -> List[RegretEstimate]:
-    """Ascend every start row of every search in lockstep, then finish each;
-    returns the estimates in search order.
-
-    All searches share one step size and step count. ``searches`` is read
-    lazily, in batches of at most ``_SCAN_CHUNK`` rows (or one search, when
-    it alone has more), so memory does not grow with the number of searches.
+def run_searches(mech: Mechanism, searches: Iterable[_Search],
+                 ascent: PgaConfig) -> List[RegretEstimate]:
+    """Ascend every start row of every search in lockstep, with ``ascent``'s
+    step size and step count, then finish each; returns the estimates in
+    search order. ``searches`` is read lazily, in batches of at most
+    ``_SCAN_CHUNK`` rows (or one search, when it alone has more), so memory
+    does not grow with the number of searches.
     """
     estimates, batch, rows = [], [], 0
     for search in searches:
         if batch and rows + len(search.starts) > _SCAN_CHUNK:
-            estimates += _climb(mech, batch)
+            estimates += _climb(mech, batch, ascent)
             batch, rows = [], 0
         batch.append(search)
         rows += len(search.starts)
     if batch:
-        estimates += _climb(mech, batch)
+        estimates += _climb(mech, batch, ascent)
     return estimates
 
 
-def _climb(mech: Mechanism, searches: Sequence[_Search]) -> List[RegretEstimate]:
+def _climb(mech: Mechanism, searches: Sequence[_Search],
+           ascent: PgaConfig) -> List[RegretEstimate]:
     """One lockstep batch of ``run_searches``.
 
     Rows climb in groups of at most ``_SCAN_CHUNK``, one mechanism call per
     group and step; every row costs the same, so the batch's evaluations and
     seconds are charged to the searches by their number of rows.
     """
-    gamma, steps = searches[0].gamma, searches[0].steps
-    assert all((s.gamma, s.steps) == (gamma, steps) for s in searches)
     sizes = [len(s.starts) for s in searches]
     owner = np.repeat(np.arange(len(searches)), sizes)
     starts = np.concatenate([s.starts for s in searches])
@@ -226,14 +224,16 @@ def _climb(mech: Mechanism, searches: Sequence[_Search]) -> List[RegretEstimate]
     for lo in range(0, len(starts), _SCAN_CHUNK):
         group = slice(lo, min(lo + _SCAN_CHUNK, len(starts)))
         best_rows[group], best_utils[group], frozen[group] = _ascend(
-            mech, profiles[owner[group]], bidders[owner[group]], starts[group], gamma, steps)
+            mech, profiles[owner[group]], bidders[owner[group]], starts[group],
+            ascent.gamma, ascent.big_r)
     evals_per_row, rest = divmod(mech.evaluations - evals0, len(starts))
     if rest:
         raise InvalidInputError(f"mechanism charged {mech.evaluations - evals0} evaluations "
                                 f"for {len(starts)} lockstep rows, not the same for each row")
     seconds_per_row = (time.perf_counter() - t0) / len(starts)
     cuts = np.cumsum(sizes)[:-1]
-    return [_finish(s, rows, utils, flags, evals_per_row * len(rows), seconds_per_row * len(rows))
+    return [_finish(s, rows, utils, flags, evals_per_row * len(rows), seconds_per_row * len(rows),
+                    ascent.big_r)
             for s, rows, utils, flags in zip(searches, np.split(best_rows, cuts),
                                              np.split(best_utils, cuts), np.split(frozen, cuts))]
 
@@ -267,8 +267,8 @@ def pga_search(mech: Mechanism, profile, bidder: int, cfg: PgaConfig, seed: int)
     ])
     evals0 = mech.evaluations
     profile, base = _prepare(mech, profile, bidder)
-    return _Search(METHOD_PGA, profile, bidder, base, starts, cfg.gamma, cfg.big_r,
-                   mech.evaluations - evals0, time.perf_counter() - t0)
+    return _Search(METHOD_PGA, profile, bidder, base, starts, mech.evaluations - evals0,
+                   time.perf_counter() - t0)
 
 
 def random_restart_pga(mech: Mechanism, profile, bidder: int, cfg: PgaConfig,
@@ -280,7 +280,7 @@ def random_restart_pga(mech: Mechanism, profile, bidder: int, cfg: PgaConfig,
     nondecreasing in L. Candidate aborts surface as the ``flagged`` field,
     never as failures.
     """
-    return run_searches(mech, [pga_search(mech, profile, bidder, cfg, seed)])[0]
+    return run_searches(mech, [pga_search(mech, profile, bidder, cfg, seed)], cfg)[0]
 
 
 def build_portfolio(profile, bidder: int, item_argmaxes, cfg: PortfolioConfig,
@@ -329,8 +329,8 @@ def guided_search(mech: Mechanism, profile, bidder: int, grid: GridSpec,
         scan = _scan_all_items(mech, profile, bidder, grid)
     profile = np.asarray(profile, dtype=np.float64)
     starts = build_portfolio(profile, bidder, scan.coords, cfg, seed)
-    return _Search(METHOD_GUIDED, profile, bidder, scan.base, starts, cfg.refine.gamma,
-                   cfg.refine.big_r, scan.evaluations, time.perf_counter() - t0, scan)
+    return _Search(METHOD_GUIDED, profile, bidder, scan.base, starts, scan.evaluations,
+                   time.perf_counter() - t0, scan)
 
 
 def guided_refinement(mech: Mechanism, profile, bidder: int, grid: GridSpec,
@@ -343,4 +343,5 @@ def guided_refinement(mech: Mechanism, profile, bidder: int, grid: GridSpec,
     iterate, so it can never fall below the grid lower bound. Evaluation
     counts include the grid phase.
     """
-    return run_searches(mech, [guided_search(mech, profile, bidder, grid, cfg, seed)])[0]
+    return run_searches(mech, [guided_search(mech, profile, bidder, grid, cfg, seed)],
+                        cfg.refine)[0]

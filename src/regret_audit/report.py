@@ -11,12 +11,12 @@ from __future__ import annotations
 import itertools
 import json
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, List
 
 import numpy as np
 
-from .errors import InvalidConfigError, ReportFormatError, check_float, check_int
+from .errors import InvalidConfigError, ReportFormatError, check_float, check_int, check_type
 from .estimators import METHOD_ITEM, RegretEstimate
 from .mechanisms import AuctionSetting, check_format, read_json, write_json
 
@@ -32,6 +32,7 @@ class AuditRecord:
 
     def __post_init__(self):
         check_int(self.sample, "sample", 0)
+        check_type(self.estimate, "estimate", RegretEstimate)
 
 
 @dataclass
@@ -88,17 +89,7 @@ def _estimate_to_dict(est: RegretEstimate) -> dict:
 
 
 def _estimate_from_dict(data: dict) -> RegretEstimate:
-    misreport = data["best_misreport"]
-    return RegretEstimate(
-        method=data["method"],
-        bidder=data["bidder"],
-        value=data["value"],
-        best_misreport=None if misreport is None else np.asarray(misreport, dtype=np.float64),
-        mech_evals=data["mech_evals"],
-        wall_seconds=data["wall_seconds"],
-        gradient_steps=data["gradient_steps"],
-        flagged=data["flagged"],
-    )
+    return RegretEstimate(**{f.name: data[f.name] for f in fields(RegretEstimate)})
 
 
 def _summaries(report: AuditReport) -> dict:

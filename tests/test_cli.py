@@ -144,6 +144,16 @@ class TestEval:
         assert result.exit_code == 3
         assert "budget" in result.output
 
+    def test_budget_checked_before_the_points_are_built_exits_3(self, runner, tmp_path):
+        # used to exit 1 with numpy's memory error, building 10**13 points first
+        out = tmp_path / "r.json"
+        result = runner.invoke(cli, [
+            "eval", "--mechanism", "first_price", "--bidders", "2", "--items", "2",
+            "--grid-q", str(10 ** 13), "--samples", "1", "--out", str(out)])
+        assert result.exit_code == 3, result.output
+        assert f"needs {2 * (10 ** 13 + 2) + 1} mechanism evaluations" in result.output
+        assert not out.exists()
+
     def test_pooled_errors_keep_exit_codes(self, runner, tmp_path, monkeypatch):
         # both errors are raised in a pool task and reach the parent pickled
         monkeypatch.setenv("REGRET_AUDIT_THREADS", "2")

@@ -210,6 +210,25 @@ class TestEvalAccounting:
         assert estimators._scan_all_items(mech, profile, 0, small, worst).evaluations <= worst
 
 
+    @pytest.mark.parametrize("style, points", [("inclusive", 10 ** 13 + 1),
+                                               ("open_left", 10 ** 13)])
+    def test_budget_checked_before_the_points_are_built(self, style, points):
+        # the 10**13 points would take 80 TB; they used to be built first,
+        # failing with numpy's memory error before the budget could refuse them
+        mech = ra.PerItemFirstPriceAuction(ra.AuctionSetting(2, 2))
+        profile = uniform_profile(mech.setting, 0, 11)
+        grid = ra.GridSpec(10 ** 13, style)
+        scan = 2 * (points + 1) + 1
+        for required, call in [
+                (points ** 2 + 2, lambda: ra.exhaustive_regret(mech, profile, 0, grid)),
+                (scan, lambda: ra.lower_bound_regret(mech, profile, 0, grid)),
+                (scan, lambda: ra.guided_refinement(mech, profile, 0, grid,
+                                                    ra.PortfolioConfig(), 0))]:
+            with pytest.raises(ra.BudgetExceededError) as info:
+                call()
+            assert (info.value.required, info.value.budget) == (required, ra.DEFAULT_EVAL_BUDGET)
+        assert mech.evaluations == 0
+
 class TestBoundChain:
     """Lower bound <= exhaustive, lower bound <= item-wise <= m * exhaustive."""
 

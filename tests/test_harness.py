@@ -165,6 +165,19 @@ class TestRunAudit:
             ra.run_audit(cfg, workers=workers)
         assert (info.value.required, info.value.budget) == (2 * 100002 + 1, 100)
 
+    def test_budget_checked_before_the_points_are_built(self):
+        # the 10**13 grid points used to be built before the budget refused them
+        q = 10 ** 13
+        for methods, guided_grid, required in [
+                (("exhaustive",), None, (q + 1) ** 2 + 2),
+                (("lower_bound", "guided"), None, 2 * (q + 2) + 1),
+                (("guided",), ra.GridSpec(q, "open_left"), 2 * (q + 1) + 1)]:
+            cfg = small_cfg(mechanism="first_price", methods=methods, samples=1,
+                            grid=ra.GridSpec(q), guided_grid=guided_grid)
+            with pytest.raises(ra.BudgetExceededError) as info:
+                ra.run_audit(cfg)
+            assert (info.value.required, info.value.budget) == (required, ra.DEFAULT_EVAL_BUDGET)
+
     def test_guided_grid_override(self):
         fine = ra.run_audit(small_cfg(methods=("guided",), samples=2,
                                       guided_grid=ra.GridSpec(50)))
@@ -173,16 +186,17 @@ class TestRunAudit:
         assert fine.records[0].estimate.mech_evals > base.records[0].estimate.mech_evals
 
 
-def cell_estimates(cell, methods):
-    """The estimates of a chunk of one cell."""
-    return _chunk_estimates([cell], methods)[0]
+def chunk_cfg(methods, guided_grid=None):
+    """An audit config with cheap settings for every method."""
+    return small_cfg(methods=methods, grid=ra.GridSpec(10), guided_grid=guided_grid,
+                     pga=ra.PgaConfig(0.1, 3, 10),
+                     portfolio=ra.PortfolioConfig(refine=ra.PgaConfig(0.1, 1, 10)))
 
 
-def one_cell(mech, profile, bidder, grid=ra.GridSpec(10), guided_grid=None):
-    """A (sample, bidder) cell with cheap settings for every method."""
-    return _Cell(mech, profile, bidder, grid, guided_grid or grid, ra.DEFAULT_EVAL_BUDGET,
-                 ra.PgaConfig(0.1, 3, 10), ra.PortfolioConfig(refine=ra.PgaConfig(0.1, 1, 10)),
-                 seed=5)
+def cell_estimates(mech, profile, bidder, methods, guided_grid=None):
+    """The estimates of a chunk of one (sample, bidder) cell."""
+    cfg = chunk_cfg(methods, guided_grid)
+    return _chunk_estimates(cfg, mech, [_Cell(0, profile, bidder, seed=5)])[0]
 
 
 class TestRegistry:
@@ -197,7 +211,7 @@ class TestRegistry:
         mech = ra.PerItemFirstPriceAuction(setting)
         profile = uniform_profile(setting, 0, 7)
         with pytest.raises(ra.InvalidInputError, match="out of range"):
-            cell_estimates(one_cell(mech, profile, bidder), (method,))
+            cell_estimates(mech, profile, bidder, (method,))
 
     @pytest.mark.parametrize("method", ra.RUN_METHODS)
     def test_nonfinite_truthful_utility_rejected(self, method):
@@ -206,33 +220,45 @@ class TestRegistry:
         mech = NanPaymentAuction(setting)
         profile = uniform_profile(setting, 0, 7)
         with pytest.raises(ra.InvalidInputError, match="non-finite truthful utility"):
-            cell_estimates(one_cell(mech, profile, 0), (method,))
+            cell_estimates(mech, profile, 0, (method,))
 
     def test_sharing_is_invisible(self, setting_2x2, neural_2x2):
-        profile = uniform_profile(setting_2x2, 0, 7)
-        cell = one_cell(neural_2x2, profile, 1)
+        # every registry row of a two-cell chunk, guided on its own grid,
+        # equals its standalone function on that cell
+        cfg = chunk_cfg(ra.RUN_METHODS, guided_grid=ra.GridSpec(20))
+        cells = [_Cell(0, uniform_profile(setting_2x2, 0, 7), 1, seed=5),
+                 _Cell(1, uniform_profile(setting_2x2, 1, 7), 0, seed=6)]
         before = neural_2x2.evaluations
-        shared = cell_estimates(cell, ("lower_bound", "item_wise", "guided"))
+        shared = _chunk_estimates(cfg, neural_2x2, cells)
         executed = neural_2x2.evaluations - before
-        alone = [
-            ra.lower_bound_regret(neural_2x2, profile, 1, cell.grid),
-            ra.item_wise_regret(neural_2x2, profile, 1, cell.grid),
-            ra.guided_refinement(neural_2x2, profile, 1, cell.grid, cell.portfolio, cell.seed),
-        ]
-        for a, b in zip(shared, alone):
-            assert (a.method, a.value, a.mech_evals, a.gradient_steps) == \
-                (b.method, b.value, b.mech_evals, b.gradient_steps)
-            assert (a.best_misreport is None and b.best_misreport is None) or \
-                np.array_equal(a.best_misreport, b.best_misreport)
-        scan_evals = alone[0].mech_evals
-        assert scan_evals == 2 * (10 + 2) + 1
-        assert executed == sum(e.mech_evals for e in shared) - 2 * scan_evals
+        m = setting_2x2.m
+        for cell, estimates in zip(cells, shared):
+            args = (neural_2x2, cell.profile, cell.bidder)
+            alone = [
+                ra.exhaustive_regret(*args, cfg.grid, max_evals=cfg.max_grid_evals),
+                *(ra.item_regret(*args, j, cfg.grid) for j in range(m)),
+                ra.lower_bound_regret(*args, cfg.grid),
+                ra.item_wise_regret(*args, cfg.grid),
+                ra.random_restart_pga(*args, cfg.pga, cell.seed),
+                ra.guided_refinement(*args, cfg.guided_grid, cfg.portfolio, cell.seed),
+            ]
+            assert [e.method for e in estimates] == [e.method for e in alone]
+            for a, b in zip(estimates, alone):
+                assert (a.bidder, a.value, a.mech_evals, a.gradient_steps, a.flagged) == \
+                    (b.bidder, b.value, b.mech_evals, b.gradient_steps, b.flagged)
+                assert (a.best_misreport is None and b.best_misreport is None) or \
+                    np.array_equal(a.best_misreport, b.best_misreport)
+        # item, lower_bound and item_wise each count the one q=10 scan of a cell
+        scan_evals = m * (10 + 2) + 1
+        assert shared[0][m + 1].mech_evals == scan_evals
+        assert executed == sum(e.mech_evals for est in shared for e in est) \
+            - len(cells) * (m + 1) * scan_evals
 
     def test_distinct_guided_grid_scans_again(self, setting_2x2, neural_2x2):
         profile = uniform_profile(setting_2x2, 0, 7)
-        cell = one_cell(neural_2x2, profile, 0, guided_grid=ra.GridSpec(20))
         before = neural_2x2.evaluations
-        shared = cell_estimates(cell, ("lower_bound", "item_wise", "guided"))
+        shared = cell_estimates(neural_2x2, profile, 0, ("lower_bound", "item_wise", "guided"),
+                                guided_grid=ra.GridSpec(20))
         # lower_bound and item_wise share the q=10 scan; guided scans q=20
         executed = neural_2x2.evaluations - before
         assert executed == sum(e.mech_evals for e in shared) - shared[0].mech_evals
@@ -498,6 +524,17 @@ class TestReportIO:
         data["method_means"] = dict(reversed(list(data["method_means"].items())))
         path.write_text(json.dumps(data))
         assert ra.read_report(path).method_means == report.method_means
+
+    def test_list_misreport_is_stored_as_floats(self, tmp_path):
+        # a list used to be kept as given, and write_report failed on its .tolist()
+        est = ra.RegretEstimate("exhaustive", 0, 0.1, [0.2, 0.3], 1, 0.0)
+        assert est.best_misreport.dtype == np.float64
+        config = {"setting": {"n": 1, "m": 2}, "samples": 1, "methods": ["exhaustive"]}
+        ra.write_report(ra.AuditReport(config, [ra.AuditRecord(0, est)], 0.0), tmp_path / "r.json")
+        assert ra.read_report(tmp_path / "r.json").records[0].estimate.best_misreport.tolist() == \
+            [0.2, 0.3]
+        with pytest.raises(ra.InvalidInputError, match="best_misreport must be a numeric array"):
+            ra.RegretEstimate("exhaustive", 0, 0.1, ["a", 0.3], 1, 0.0)
 
     def test_unknown_version_rejected(self, tmp_path):
         report = ra.run_audit(small_cfg(samples=2))

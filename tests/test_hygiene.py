@@ -1,13 +1,15 @@
-"""Source hygiene: every name a package module imports is used there, every
-name the benchmark tracer binds exists, every number a config type, record
-type or entry takes goes through ``check_int`` or ``check_float``, and every
-typed error that no other test reaches is raised where it should be."""
+"""Source hygiene: every name a package module imports is used there, no
+package module asserts, every name the benchmark tracer binds exists, every
+number a config type, record type or entry takes goes through ``check_int``
+or ``check_float``, every field of a package type has its type checked, and
+every typed error that no other test reaches is raised where it should be."""
 
 import ast
 import dataclasses
 import importlib.util
 import inspect
 import math
+import typing
 from pathlib import Path
 
 import pytest
@@ -46,6 +48,14 @@ def test_every_import_is_used(path):
 def test_check_sees_unused_and_marked_imports():
     source = "import json\nimport os  # noqa: F401\nfrom typing import List\nx: List = []\n"
     assert unused_imports(source) == [(1, "json")]
+
+
+def test_no_module_asserts():
+    # python -O strips assert statements, and a check with them
+    asserts = [f"{path.name}:{node.lineno}" for path in sorted(PACKAGE.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.Assert)]
+    assert asserts == []
 
 
 def marked_imports(source: str):
@@ -120,6 +130,43 @@ def test_every_exported_type_with_a_number_field_has_an_instance():
     for obj in VALID_INSTANCES for name, kind in number_fields(type(obj))
     for bad in BAD_NUMBERS[kind]])
 def test_every_number_field_is_checked(obj, name, bad):
+    with pytest.raises(ra.AuditError):
+        dataclasses.replace(obj, **{name: bad})
+
+
+def package_fields(cls):
+    """(name, allowed types) of each field of dataclass ``cls`` annotated with
+    a package type, alone or in a Union (``Optional`` included)."""
+    hints = typing.get_type_hints(cls)
+    fields = []
+    for f in dataclasses.fields(cls):
+        hint = hints[f.name]
+        types = typing.get_args(hint) if typing.get_origin(hint) is typing.Union else (hint,)
+        if any(isinstance(t, type) and t.__module__.startswith("regret_audit.") for t in types):
+            fields.append((f.name, types))
+    return fields
+
+
+def test_every_exported_type_with_a_package_type_field_has_an_instance():
+    exported = {obj for obj in vars(ra).values()
+                if dataclasses.is_dataclass(obj) and isinstance(obj, type) and package_fields(obj)}
+    assert exported == {ra.PortfolioConfig, ra.AuditRunConfig, ra.AuditRecord,
+                        ra.NeuralMechanismSpec}
+    assert exported <= {type(obj) for obj in VALID_INSTANCES}
+
+
+#: values a package-type field is given in place of its type; each is left
+#: out where the field's annotation allows it (None for Optional, a str for
+#: a mechanism source)
+WRONG_OBJECTS = (4, "x", (2, 2), None, [0.1, 1, 1])
+
+
+@pytest.mark.parametrize("obj,name,bad", [
+    pytest.param(obj, name, bad, id=f"{type(obj).__name__}.{name}={bad!r}")
+    for obj in VALID_INSTANCES for name, types in package_fields(type(obj))
+    for bad in WRONG_OBJECTS if not isinstance(bad, types)])
+def test_every_package_type_field_is_checked(obj, name, bad):
+    # these used to surface as a raw AttributeError, at first use or at write
     with pytest.raises(ra.AuditError):
         dataclasses.replace(obj, **{name: bad})
 
