@@ -1,8 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 success, 2 invalid configuration, 3 grid budget exceeded,
-4 I/O failure. Worker count is taken from REGRET_AUDIT_THREADS (0 = one per
-CPU; unset = serial).
+Exit codes: 0 success, else the error type's ``exit_code`` (an I/O failure
+exits with ``ReportFormatError``'s). Worker count is taken from
+REGRET_AUDIT_THREADS (0 = one per CPU; unset = serial).
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import click
 
-from .errors import AuditError, BudgetExceededError, ReportFormatError
+from .errors import AuditError, InvalidConfigError, ReportFormatError
 from .estimators import DEFAULT_EVAL_BUDGET, GRID_STYLES, METHOD_PGA, GridSpec
 from .harness import (
     RUN_METHODS,
@@ -28,10 +28,6 @@ from .sampling import (
     random_contexts,
 )
 
-EXIT_INVALID_CONFIG = 2
-EXIT_BUDGET_EXCEEDED = 3
-EXIT_IO = 4
-
 _DIST_CHOICES = {"uniform01": KIND_UNIFORM, "ctxnormal": KIND_CONTEXTUAL}
 
 
@@ -44,22 +40,18 @@ class _CliError(click.ClickException):
 def _run_guarded(fn):
     try:
         fn()
-    except BudgetExceededError as exc:
-        raise _CliError(str(exc), EXIT_BUDGET_EXCEEDED)
-    except ReportFormatError as exc:
-        raise _CliError(str(exc), EXIT_IO)
     except AuditError as exc:
-        raise _CliError(str(exc), EXIT_INVALID_CONFIG)
+        raise _CliError(str(exc), exc.exit_code)
     except OSError as exc:
-        raise _CliError(f"I/O failure: {exc}", EXIT_IO)
+        raise _CliError(f"I/O failure: {exc}", ReportFormatError.exit_code)
 
 
 def _parse_int_csv(text: str, what: str) -> tuple:
     try:
         return tuple(int(tok) for tok in text.split(",") if tok.strip())
     except ValueError:
-        raise _CliError(f"{what} must be a comma-separated list of integers, got {text!r}",
-                        EXIT_INVALID_CONFIG)
+        raise InvalidConfigError(
+            f"{what} must be a comma-separated list of integers, got {text!r}")
 
 
 def _build_distribution(dist, x_contexts, y_contexts, std, bidders, items, seed):

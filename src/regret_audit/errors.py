@@ -1,7 +1,6 @@
 """Exception types shared across the package, and the checks that raise them.
 
-CLI exit codes: invalid inputs/config map to 2, grid budget overruns to 3,
-and I/O or report-format failures to 4.
+Each error type's ``exit_code`` is the CLI's exit status for it.
 """
 
 import math
@@ -10,6 +9,8 @@ import numbers
 
 class AuditError(Exception):
     """Base class for all regret-audit errors."""
+
+    exit_code = 2
 
 
 class InvalidInputError(AuditError, ValueError):
@@ -27,6 +28,8 @@ class MechanismLoadError(InvalidConfigError):
 class BudgetExceededError(AuditError):
     """A grid scan would exceed the configured evaluation budget."""
 
+    exit_code = 3
+
     def __init__(self, required: int, budget: int):
         self.required = required
         self.budget = budget
@@ -42,6 +45,8 @@ class BudgetExceededError(AuditError):
 
 class ReportFormatError(AuditError):
     """A persisted report is malformed or has an unsupported format version."""
+
+    exit_code = 4
 
 
 def check_int(value, what: str, minimum: int, error=InvalidInputError) -> None:

@@ -127,7 +127,7 @@ class AuditRunConfig:
     portfolio: PortfolioConfig
     samples: int
     seed: int
-    out: Optional[str] = None
+    out: Optional[Union[str, os.PathLike]] = None
     guided_grid: Optional[GridSpec] = None
     max_grid_evals: int = DEFAULT_EVAL_BUDGET
 
@@ -135,13 +135,14 @@ class AuditRunConfig:
         for name, types in (("setting", AuctionSetting), ("mechanism", (str, NeuralMechanismSpec)),
                             ("distribution", ValuationDistribution), ("grid", GridSpec),
                             ("guided_grid", (GridSpec, type(None))), ("pga", PgaConfig),
-                            ("portfolio", PortfolioConfig)):
+                            ("portfolio", PortfolioConfig), ("methods", (tuple, list)),
+                            ("out", (str, os.PathLike, type(None)))):
             check_type(getattr(self, name), name, types, InvalidConfigError)
         check_int(self.samples, "samples", 1, InvalidConfigError)
         check_int(self.seed, "seed", 0, InvalidConfigError)
         check_int(self.max_grid_evals, "max_grid_evals", 1, InvalidConfigError)
-        if not self.methods:
-            raise InvalidConfigError("methods must be nonempty")
+        if not self.methods or not all(isinstance(m, str) for m in self.methods):
+            raise InvalidConfigError(f"methods must be nonempty method names, got {self.methods!r}")
         unknown = set(self.methods) - set(RUN_METHODS)
         if unknown:
             raise InvalidConfigError(
@@ -166,6 +167,14 @@ def resolve_mechanism(source: MechanismSource, setting: AuctionSetting) -> Mecha
             f"configured {setting.n}x{setting.m}"
         )
     return load_neural_mechanism(spec)
+
+
+def _with_spec_read(cfg: AuditRunConfig) -> AuditRunConfig:
+    """``cfg`` with a spec path replaced by the spec read from it, so that
+    every chunk of an audit and every cell of a sweep audits the same weights."""
+    if isinstance(cfg.mechanism, str) and cfg.mechanism not in BUILTIN_MECHANISMS:
+        return replace(cfg, mechanism=read_neural_spec(cfg.mechanism))
+    return cfg
 
 
 def config_echo(cfg: AuditRunConfig) -> dict:
@@ -271,6 +280,8 @@ def run_audit(cfg: AuditRunConfig, workers: Optional[int] = None) -> AuditReport
     is persisted to ``cfg.out`` when set.
     """
     t0 = time.perf_counter()
+    echo = config_echo(cfg)  # names a spec path, not the spec read from it
+    cfg = _with_spec_read(cfg)
     # reports do not depend on the worker count, so more workers than CPUs add only memory
     workers = min(resolve_workers(workers), os.cpu_count() or 1)
 
@@ -283,7 +294,7 @@ def run_audit(cfg: AuditRunConfig, workers: Optional[int] = None) -> AuditReport
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
             per_chunk = list(pool.map(_chunk_records, [cfg] * len(chunks), chunks))
 
-    report = AuditReport(config=config_echo(cfg),
+    report = AuditReport(config=echo,
                          records=[rec for chunk_recs in per_chunk for rec in chunk_recs],
                          wall_seconds=time.perf_counter() - t0)
     if cfg.out is not None:
@@ -292,15 +303,17 @@ def run_audit(cfg: AuditRunConfig, workers: Optional[int] = None) -> AuditReport
 
 
 def run_sweep(cfg: AuditRunConfig, l_values: Sequence[int], r_values: Sequence[int],
-              out: Optional[str] = None) -> List[dict]:
+              out: Optional[Union[str, os.PathLike]] = None) -> List[dict]:
     """One pga audit per (L, R) pair over the same sample seeds.
 
     Sharing the run seed pairs the samples across cells, so regret is exactly
-    nondecreasing in L for fixed R. Returns the sweep rows and optionally
-    writes them as CSV.
+    nondecreasing in L for fixed R. A spec path is read once, before the
+    first cell. Returns the sweep rows and optionally writes them as CSV.
     """
     if not l_values or not r_values:
         raise InvalidConfigError("l_values and r_values must be nonempty")
+    check_type(out, "out", (str, os.PathLike, type(None)), InvalidConfigError)
+    cfg = _with_spec_read(cfg)
     rows = []
     for big_l in l_values:
         for big_r in r_values:

@@ -474,14 +474,8 @@ def load_neural_mechanism(spec: NeuralMechanismSpec) -> NeuralMechanism:
 
 
 def _own(batch_size: int, bidder):
-    """Index of each profile's bidder entry in a (B, n, ...) array.
-
-    Both forms select the same values. One bidder gets a slice, which reads
-    as a view: cheaper on the exhaustive scan's large single-bidder batches
-    than the gather that per-row bidders need.
-    """
-    if np.ndim(bidder) == 0:
-        return slice(None), int(bidder)
+    """Index of each profile's bidder entry in a (B, n, ...) array; ``bidder``
+    is an int or one per row."""
     return np.arange(batch_size), bidder
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 from collections import Counter
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Dict, List
 
 import numpy as np
@@ -45,6 +45,10 @@ class AuditReport:
     wall_seconds: float
 
     def __post_init__(self):
+        check_type(self.config, "config", dict)
+        check_type(self.records, "records", list)
+        for rec in self.records:
+            check_type(rec, "record", AuditRecord)
         self.wall_seconds = check_float(self.wall_seconds, "wall_seconds")
 
     @property
@@ -75,21 +79,21 @@ class AuditReport:
         return sum(rec.estimate.gradient_steps for rec in self.records)
 
 
+#: the keys a record stores after its sample, in file order: the fields of
+#: its ``RegretEstimate``
+_RECORD_KEYS = ("method", "bidder", "value", "best_misreport", "mech_evals", "gradient_steps",
+                "wall_seconds", "flagged")
+
+
 def _estimate_to_dict(est: RegretEstimate) -> dict:
-    return {
-        "method": est.method,
-        "bidder": est.bidder,
-        "value": est.value,
-        "best_misreport": None if est.best_misreport is None else est.best_misreport.tolist(),
-        "mech_evals": est.mech_evals,
-        "gradient_steps": est.gradient_steps,
-        "wall_seconds": est.wall_seconds,
-        "flagged": est.flagged,
-    }
+    data = {key: getattr(est, key) for key in _RECORD_KEYS}
+    if est.best_misreport is not None:
+        data["best_misreport"] = est.best_misreport.tolist()
+    return data
 
 
 def _estimate_from_dict(data: dict) -> RegretEstimate:
-    return RegretEstimate(**{f.name: data[f.name] for f in fields(RegretEstimate)})
+    return RegretEstimate(**{key: data[key] for key in _RECORD_KEYS})
 
 
 def _summaries(report: AuditReport) -> dict:

@@ -155,7 +155,8 @@ class TestEval:
         assert not out.exists()
 
     def test_pooled_errors_keep_exit_codes(self, runner, tmp_path, monkeypatch):
-        # both errors are raised in a pool task and reach the parent pickled
+        # the budget error is raised in a pool task and reaches the parent
+        # pickled; the spec file is read once, before the pool starts
         monkeypatch.setenv("REGRET_AUDIT_THREADS", "2")
         # run_audit starts at most one worker per CPU; pretend there are 2 so the pool starts
         monkeypatch.setattr("os.cpu_count", lambda: 2)
@@ -175,6 +176,15 @@ class TestEval:
     def test_unwritable_output_exits_4(self, runner, tmp_path):
         result = runner.invoke(cli, eval_args(tmp_path / "no_dir" / "report.json"))
         assert result.exit_code == 4
+
+
+def test_each_error_type_carries_its_exit_code():
+    codes = {error: error.exit_code for error in vars(ra).values()
+             if isinstance(error, type) and issubclass(error, ra.AuditError)
+             and error is not ra.AuditError}
+    assert codes == {ra.InvalidInputError: 2, ra.InvalidConfigError: 2,
+                     ra.MechanismLoadError: 2, ra.BudgetExceededError: 3,
+                     ra.ReportFormatError: 4}
 
 
 class TestSweep:

@@ -1,6 +1,7 @@
 """Audit orchestration, reports, sweeps, worker determinism."""
 
 import copy
+import dataclasses
 import importlib.util
 import json
 from dataclasses import replace
@@ -12,7 +13,7 @@ import pytest
 import regret_audit as ra
 from regret_audit import harness, optimizer
 from regret_audit.harness import _Cell, _chunk_estimates, resolve_workers
-from regret_audit.report import report_to_dict
+from regret_audit.report import _RECORD_KEYS, report_to_dict
 from regret_audit.sampling import KIND_CONTEXTUAL
 
 from conftest import (NanAboveAuction, NanPaymentAuction, ShadedQuadraticMechanism,
@@ -52,6 +53,23 @@ class TestConfig:
             small_cfg(methods=())
         with pytest.raises(ra.InvalidConfigError):
             small_cfg(methods=("nope",))
+
+    @pytest.mark.parametrize("methods", [5, (5, "x"), "pga"])
+    def test_methods_must_be_a_sequence_of_names(self, methods):
+        # 5 and (5, "x") raised a raw TypeError, and "pga" was read as its letters
+        with pytest.raises(ra.InvalidConfigError, match="methods must be"):
+            small_cfg(methods=methods)
+
+    @pytest.mark.parametrize("out", [5, 3.5])
+    def test_out_must_be_a_path(self, out, monkeypatch):
+        # out=5 ran the whole audit, then wrote the report into file descriptor 5
+        # or raised a raw OSError; out=3.5 ran it and raised a raw TypeError
+        monkeypatch.setattr(harness, "_chunk_records", lambda *args: pytest.fail("audit ran"))
+        with pytest.raises(ra.InvalidConfigError, match="out must be of type"):
+            ra.run_audit(small_cfg(out=out))
+        with pytest.raises(ra.InvalidConfigError, match="out must be of type"):
+            ra.run_sweep(small_cfg(methods=("pga",)), [1], [1], out=out)
+        assert small_cfg(out=Path("report.json")).out == Path("report.json")
 
     def test_methods_canonicalized(self):
         cfg = small_cfg(methods=("guided", "lower_bound"))
@@ -492,6 +510,42 @@ class TestDeterminism:
         serial = ra.run_audit(small_cfg(samples=8), workers=1)
         assert strip_wall(report_to_dict(pooled)) == strip_wall(report_to_dict(serial))
 
+    def test_pool_chunks_share_the_spec_read_once(self, tmp_path, monkeypatch):
+        # each chunk read the spec file again, once per pool worker
+        path = tmp_path / "mech.json"
+        ra.write_neural_spec(small_cfg().mechanism, path)
+        chunk_cfgs = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, cfgs, chunks):
+                chunk_cfgs.extend(cfgs)
+                return map(fn, cfgs, chunks)
+
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+        cfg = small_cfg(mechanism=str(path), samples=4)
+        with monkeypatch.context() as patch:
+            patch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+            ra.run_audit(cfg, workers=2)
+        assert len(chunk_cfgs) == 2
+        assert all(isinstance(c.mechanism, ra.NeuralMechanismSpec) for c in chunk_cfgs)
+        assert chunk_cfgs[0].mechanism is chunk_cfgs[1].mechanism
+        # the report, pooled or serial, still names the path
+        pooled, serial = tmp_path / "pooled.json", tmp_path / "serial.json"
+        ra.run_audit(replace(cfg, out=str(pooled)), workers=2)
+        ra.run_audit(replace(cfg, out=str(serial)), workers=1)
+        data = strip_wall(json.loads(pooled.read_text()))
+        assert data == strip_wall(json.loads(serial.read_text()))
+        assert data["config"]["mechanism"] == str(path)
+
     def test_worker_resolution(self, monkeypatch):
         monkeypatch.delenv("REGRET_AUDIT_THREADS", raising=False)
         assert resolve_workers(None) == 1
@@ -636,6 +690,23 @@ class TestReportIO:
                 ra.write_report(bad, tmp_path / "r.json")
             assert not (tmp_path / "r.json").exists()
 
+    def test_report_checks_its_config_and_records(self, tmp_path):
+        # a record that is not an AuditRecord raised a raw AttributeError at
+        # write, and a config that is not a dict a raw TypeError at its means
+        config = {"setting": {"n": 1, "m": 1}, "samples": 1, "methods": ["exhaustive"]}
+        with pytest.raises(ra.InvalidInputError, match="record must be of type AuditRecord"):
+            ra.write_report(ra.AuditReport(config, ["x"], 0.0), tmp_path / "r.json")
+        assert not (tmp_path / "r.json").exists()
+        with pytest.raises(ra.InvalidInputError, match="config must be of type dict"):
+            ra.AuditReport(5, [], 0.0).method_means
+        with pytest.raises(ra.InvalidInputError, match="records must be of type list"):
+            ra.AuditReport(config, None, 0.0)
+
+    def test_record_keys_are_the_estimate_fields(self):
+        # a RegretEstimate field is written exactly when it is read back
+        assert len(set(_RECORD_KEYS)) == len(_RECORD_KEYS)
+        assert set(_RECORD_KEYS) == {f.name for f in dataclasses.fields(ra.RegretEstimate)}
+
     def test_means_must_name_the_methods(self, tmp_path):
         # a mean of a method the report does not list raised a raw KeyError
         report = ra.run_audit(small_cfg(methods=("item_wise",), samples=2))
@@ -666,6 +737,23 @@ class TestSweep:
         cfg = small_cfg(mechanism="second_price", methods=("pga",), samples=3)
         rows = ra.run_sweep(cfg, [1, 2], [10, 20])
         assert all(row["mean_regret"] == 0.0 for row in rows)
+
+    def test_spec_file_read_once_per_sweep(self, tmp_path, monkeypatch):
+        # each cell read the file again, so a file rewritten during a sweep
+        # changed the weights of the cells after it
+        path = tmp_path / "mech.json"
+        ra.write_neural_spec(small_cfg().mechanism, path)
+        reads = []
+
+        def counting_read(spec_path):
+            reads.append(spec_path)
+            return ra.read_neural_spec(spec_path)
+
+        monkeypatch.setattr(harness, "read_neural_spec", counting_read)
+        cfg = small_cfg(mechanism=str(path), methods=("pga",), samples=1)
+        rows = ra.run_sweep(cfg, [1, 2, 3], [2, 3, 4])
+        assert len(rows) == 9
+        assert reads == [str(path)]
 
     def test_csv_output(self, tmp_path):
         cfg = small_cfg(methods=("pga",), samples=2)

@@ -136,11 +136,14 @@ def test_every_number_field_is_checked(obj, name, bad):
 
 def package_fields(cls):
     """(name, allowed types) of each field of dataclass ``cls`` annotated with
-    a package type, alone or in a Union (``Optional`` included)."""
+    a package type, alone, in a Union (``Optional`` included) or as the items
+    of a ``List``; a list field's allowed types are its items' types."""
     hints = typing.get_type_hints(cls)
     fields = []
     for f in dataclasses.fields(cls):
         hint = hints[f.name]
+        if typing.get_origin(hint) is list:
+            hint, = typing.get_args(hint)
         types = typing.get_args(hint) if typing.get_origin(hint) is typing.Union else (hint,)
         if any(isinstance(t, type) and t.__module__.startswith("regret_audit.") for t in types):
             fields.append((f.name, types))
@@ -151,7 +154,7 @@ def test_every_exported_type_with_a_package_type_field_has_an_instance():
     exported = {obj for obj in vars(ra).values()
                 if dataclasses.is_dataclass(obj) and isinstance(obj, type) and package_fields(obj)}
     assert exported == {ra.PortfolioConfig, ra.AuditRunConfig, ra.AuditRecord,
-                        ra.NeuralMechanismSpec}
+                        ra.AuditReport, ra.NeuralMechanismSpec}
     assert exported <= {type(obj) for obj in VALID_INSTANCES}
 
 
