@@ -48,7 +48,6 @@ from .mechanisms import (
     as_profile,
     evaluate_misreports,
     generate_neural_spec,
-    load_neural_mechanism,
     read_neural_spec,
     utility,
     utility_gradient,

@@ -19,7 +19,7 @@ from .harness import (
     run_audit,
     run_sweep,
 )
-from .mechanisms import AuctionSetting, generate_neural_spec, write_neural_spec
+from .mechanisms import BUILTIN_MECHANISMS, AuctionSetting, generate_neural_spec, write_neural_spec
 from .optimizer import PGA_PRESETS, PORTFOLIO_PRESETS, PgaConfig, PortfolioConfig
 from .sampling import (
     KIND_CONTEXTUAL,
@@ -102,7 +102,7 @@ def _options(*options):
 #: the options both commands read
 _SHARED_OPTIONS = (
     click.option("--mechanism", required=True,
-                 help="Builtin name (second_price, first_price) or mechanism spec JSON path."),
+                 help=f"Builtin name ({', '.join(BUILTIN_MECHANISMS)}) or mechanism spec JSON path."),
     click.option("--bidders", type=int, required=True, help="Number of bidders."),
     click.option("--items", type=int, required=True, help="Number of items."),
     click.option("--dist", type=click.Choice(sorted(_DIST_CHOICES)), default="uniform01",

@@ -11,8 +11,10 @@ Four estimators share one discretization of the bid interval:
   optimum when cross-item interactions are weak, and never more than m times
   the optimum.
 
-The truthful row is always part of the scanned candidate set (appended when
-it is off-grid), so every estimate is exactly nonnegative. Each estimator
+A scan whose best gain is not strictly positive reports exactly 0 at the
+truthful row (``_clamp_gain``), so every estimate is nonnegative. A truthful
+row off the grid is evaluated and charged once more, so that the counts
+match the cost formulas; that evaluation's result is unused. Each estimator
 reports the number of mechanism evaluations it consumed, measured by the
 mechanism's counter. The per-item estimators derive from one ``ItemScan``,
 which a caller already holding it passes as ``scan=``.
@@ -158,11 +160,12 @@ def _grid_best(mech: Mechanism, profile: np.ndarray, bidder: int, base: float, a
     Rows are scanned in lexicographic order, at most ``_SCAN_CHUNK`` at a
     time, and the first maximum wins. Each chunk tiles whole copies of one
     trailing block, the product of the last axes that fits in a chunk, under
-    its leading coordinates. The truthful row, when not in the product, costs
-    one more evaluation, which pins the gain floor at 0. A non-finite
-    utility raises InvalidInputError: a NaN would otherwise drop out of the
-    argmax and leave a false 0.0. The estimator checked the profile and
-    bidder once (``_prepare``), and grid rows lie in [0, 1], so the chunks
+    its leading coordinates. The truthful row, when not in the product, is
+    evaluated and charged once more, so that the counts match the cost
+    formulas; the result is unused, and ``_clamp_gain`` gives the floor of 0.
+    A non-finite utility raises InvalidInputError: a NaN would otherwise drop
+    out of the argmax and leave a false 0.0. The estimator checked the profile
+    and bidder once (``_prepare``), and grid rows lie in [0, 1], so the chunks
     go to the mechanism's hook unchecked.
     """
     truthful = profile[bidder]
@@ -206,7 +209,8 @@ def _scan_all_items(mech: Mechanism, profile, bidder: int, grid: GridSpec,
                     max_evals: int = DEFAULT_EVAL_BUDGET) -> ItemScan:
     """Scan each item's coordinate over the grid, others truthful: one
     truthful evaluation, then q+1 rows per item plus one more per off-grid
-    truthful coordinate, which pins that item's gain floor at 0. The budget
+    truthful coordinate, evaluated and charged so that the counts match the
+    cost formulas (``_clamp_gain`` gives each item's floor of 0). The budget
     is charged that worst case, m(q+2)+1 on the inclusive grid."""
     m = mech.setting.m
     _check_budget(max_evals, [grid.size] * m)

@@ -9,7 +9,9 @@ are assembled in (sample, bidder, method) order, so parallel and serial runs
 produce identical reports up to wall-clock fields. Methods are dispatched
 through one ordered registry, ``METHODS``, whose entries read their grids
 and search settings from the audit's config; a cell holds only its sample,
-profile, bidder and search seed.
+profile, bidder and search seed. ``_checked_source`` is the one reading of
+a mechanism source: ``run_audit`` and ``run_sweep`` call it before any chunk,
+worker or sweep cell, so a spec path is read, and its setting checked, once.
 """
 
 from __future__ import annotations
@@ -46,8 +48,8 @@ from .mechanisms import (
     BUILTIN_MECHANISMS,
     AuctionSetting,
     Mechanism,
+    NeuralMechanism,
     NeuralMechanismSpec,
-    load_neural_mechanism,
     read_neural_spec,
 )
 from .optimizer import (
@@ -62,7 +64,7 @@ from .optimizer import (
     random_restart_pga,  # noqa: F401
 )
 from .report import AuditRecord, AuditReport, write_report
-from .sampling import ValuationDistribution, sample_valuations
+from .sampling import KIND_CONTEXTUAL, ValuationDistribution, contextual_means, sample_valuations
 
 THREADS_ENV_VAR = "REGRET_AUDIT_THREADS"
 
@@ -141,6 +143,8 @@ class AuditRunConfig:
         check_int(self.samples, "samples", 1, InvalidConfigError)
         check_int(self.seed, "seed", 0, InvalidConfigError)
         check_int(self.max_grid_evals, "max_grid_evals", 1, InvalidConfigError)
+        if self.distribution.kind == KIND_CONTEXTUAL:
+            contextual_means(self.distribution, self.setting)  # contexts fit the setting
         if not self.methods or not all(isinstance(m, str) for m in self.methods):
             raise InvalidConfigError(f"methods must be nonempty method names, got {self.methods!r}")
         unknown = set(self.methods) - set(RUN_METHODS)
@@ -151,30 +155,27 @@ class AuditRunConfig:
         self.methods = tuple(m for m in RUN_METHODS if m in self.methods)
 
 
+def _checked_source(source: MechanismSource, setting: AuctionSetting) -> MechanismSource:
+    """The one reading of a mechanism source: a builtin name as given, else
+    the spec, read from its path, whose setting matches ``setting``."""
+    if isinstance(source, str):
+        if source in BUILTIN_MECHANISMS:
+            return source
+        source = read_neural_spec(source)
+    if not isinstance(source, NeuralMechanismSpec):
+        raise MechanismLoadError(f"cannot resolve mechanism from {source!r}")
+    if source.setting != setting:
+        raise MechanismLoadError(f"mechanism setting {source.setting.n}x{source.setting.m} "
+                                 f"does not match configured {setting.n}x{setting.m}")
+    return source
+
+
 def resolve_mechanism(source: MechanismSource, setting: AuctionSetting) -> Mechanism:
     """Build the subject mechanism from a builtin name, spec file, or spec."""
-    if isinstance(source, NeuralMechanismSpec):
-        spec = source
-    elif source in BUILTIN_MECHANISMS:
+    source = _checked_source(source, setting)
+    if isinstance(source, str):
         return BUILTIN_MECHANISMS[source](setting)
-    elif isinstance(source, str):
-        spec = read_neural_spec(source)
-    else:
-        raise MechanismLoadError(f"cannot resolve mechanism from {source!r}")
-    if spec.setting != setting:
-        raise MechanismLoadError(
-            f"mechanism setting {spec.setting.n}x{spec.setting.m} does not match "
-            f"configured {setting.n}x{setting.m}"
-        )
-    return load_neural_mechanism(spec)
-
-
-def _with_spec_read(cfg: AuditRunConfig) -> AuditRunConfig:
-    """``cfg`` with a spec path replaced by the spec read from it, so that
-    every chunk of an audit and every cell of a sweep audits the same weights."""
-    if isinstance(cfg.mechanism, str) and cfg.mechanism not in BUILTIN_MECHANISMS:
-        return replace(cfg, mechanism=read_neural_spec(cfg.mechanism))
-    return cfg
+    return NeuralMechanism(source)
 
 
 def config_echo(cfg: AuditRunConfig) -> dict:
@@ -281,7 +282,7 @@ def run_audit(cfg: AuditRunConfig, workers: Optional[int] = None) -> AuditReport
     """
     t0 = time.perf_counter()
     echo = config_echo(cfg)  # names a spec path, not the spec read from it
-    cfg = _with_spec_read(cfg)
+    cfg = replace(cfg, mechanism=_checked_source(cfg.mechanism, cfg.setting))
     # reports do not depend on the worker count, so more workers than CPUs add only memory
     workers = min(resolve_workers(workers), os.cpu_count() or 1)
 
@@ -307,27 +308,27 @@ def run_sweep(cfg: AuditRunConfig, l_values: Sequence[int], r_values: Sequence[i
     """One pga audit per (L, R) pair over the same sample seeds.
 
     Sharing the run seed pairs the samples across cells, so regret is exactly
-    nondecreasing in L for fixed R. A spec path is read once, before the
-    first cell. Returns the sweep rows and optionally writes them as CSV.
+    nondecreasing in L for fixed R. The lists, the mechanism source (a spec
+    path is read once) and every cell's config are checked before the first
+    cell runs. Returns the sweep rows and optionally writes them as CSV.
     """
-    if not l_values or not r_values:
-        raise InvalidConfigError("l_values and r_values must be nonempty")
+    for name, values in (("l_values", l_values), ("r_values", r_values)):
+        check_type(values, name, (list, tuple, range), InvalidConfigError)
+        if not values:
+            raise InvalidConfigError(f"{name} must be nonempty")
+        for value in values:
+            check_int(value, f"{name} entries", 1, InvalidConfigError)
     check_type(out, "out", (str, os.PathLike, type(None)), InvalidConfigError)
-    cfg = _with_spec_read(cfg)
+    cfg = replace(cfg, mechanism=_checked_source(cfg.mechanism, cfg.setting))
+    cells = [replace(cfg, methods=(METHOD_PGA,), out=None,
+                     pga=replace(cfg.pga, big_l=big_l, big_r=big_r))
+             for big_l in l_values for big_r in r_values]
     rows = []
-    for big_l in l_values:
-        for big_r in r_values:
-            cell = replace(cfg, methods=(METHOD_PGA,), out=None,
-                           pga=replace(cfg.pga, big_l=big_l, big_r=big_r))
-            report = run_audit(cell)
-            rows.append({
-                "L": big_l,
-                "R": big_r,
-                "mean_regret": report.method_means[METHOD_PGA],
-                "mech_evals": report.total_mech_evals,
-                "gradient_steps": report.total_gradient_steps,
-                "wall_seconds": report.wall_seconds,
-            })
+    for cell in cells:
+        report = run_audit(cell)
+        rows.append(dict(zip(SWEEP_CSV_COLUMNS, (
+            cell.pga.big_l, cell.pga.big_r, report.method_means[METHOD_PGA],
+            report.total_mech_evals, report.total_gradient_steps, report.wall_seconds))))
     if out is not None:
         write_sweep_csv(rows, out)
     return rows

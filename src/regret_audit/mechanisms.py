@@ -468,11 +468,6 @@ class NeuralMechanism(Mechanism):
         return u, grad
 
 
-def load_neural_mechanism(spec: NeuralMechanismSpec) -> NeuralMechanism:
-    """Build the pure mechanism for a weight spec."""
-    return NeuralMechanism(spec)
-
-
 def _own(batch_size: int, bidder):
     """Index of each profile's bidder entry in a (B, n, ...) array; ``bidder``
     is an int or one per row."""

@@ -72,7 +72,7 @@ def setting_2x2():
 
 @pytest.fixture
 def neural_2x2(setting_2x2):
-    return ra.load_neural_mechanism(ra.generate_neural_spec(setting_2x2, 16, 42))
+    return ra.NeuralMechanism(ra.generate_neural_spec(setting_2x2, 16, 42))
 
 
 def uniform_profile(setting, sample, seed):

@@ -58,7 +58,7 @@ def golden_report_text(out_dir) -> str:
 
 def main():
     spec = ra.generate_neural_spec(SETTING, HIDDEN, MECH_SEED)
-    mech = ra.load_neural_mechanism(spec)
+    mech = ra.NeuralMechanism(spec)
     profile = ra.sample_valuations(ra.ValuationDistribution(), SETTING, 0, SAMPLE_SEED)
     alloc, pay = mech.run(profile)
     grid = ra.GridSpec(ORACLE_Q)

@@ -221,7 +221,7 @@ def test_criterion_6_complexity_accounting():
         grid = ra.GridSpec(q)
         for m in (1, 2, 3):
             setting = ra.AuctionSetting(2, m)
-            mech = ra.load_neural_mechanism(ra.generate_neural_spec(setting, 8, 3))
+            mech = ra.NeuralMechanism(ra.generate_neural_spec(setting, 8, 3))
             profile = ra.sample_valuations(ra.ValuationDistribution(), setting, 0, 13)
             on_grid = bool(np.isin(profile[0], grid.points).all())
             ex = ra.exhaustive_regret(mech, profile, 0, grid)

@@ -109,6 +109,15 @@ class TestEval:
         assert "std must be <= 1" in result.output
         assert not out.exists()
 
+    def test_contexts_longer_than_the_setting_exit_2(self, runner, tmp_path, monkeypatch):
+        # the config was accepted and the audit failed in each of its chunks
+        monkeypatch.setattr("regret_audit.cli.run_audit", lambda *args: pytest.fail("audit ran"))
+        out = tmp_path / "report.json"
+        result = runner.invoke(cli, eval_args(out, dist="ctxnormal", x_contexts="1,2,3"))
+        assert result.exit_code == 2, result.output
+        assert "contexts have lengths 3/2, need 2/2" in result.output
+        assert not out.exists()
+
     def test_nonfinite_truthful_utility_exits_2(self, runner, tmp_path, monkeypatch):
         monkeypatch.delenv("REGRET_AUDIT_THREADS", raising=False)
         monkeypatch.setitem(ra.mechanisms.BUILTIN_MECHANISMS, "nan_payment", NanPaymentAuction)

@@ -159,7 +159,7 @@ class TestEvalAccounting:
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_count_formulas_across_settings(self, q, m):
         setting = ra.AuctionSetting(2, m)
-        mech = ra.load_neural_mechanism(ra.generate_neural_spec(setting, 8, 5))
+        mech = ra.NeuralMechanism(ra.generate_neural_spec(setting, 8, 5))
         profile = uniform_profile(setting, 0, 11)  # off-grid a.s.
         grid = ra.GridSpec(q)
         ex = ra.exhaustive_regret(mech, profile, 0, grid)
@@ -180,7 +180,7 @@ class TestEvalAccounting:
 
     def test_budget_error_names_required_count(self):
         setting = ra.AuctionSetting(2, 4)
-        mech = ra.load_neural_mechanism(ra.generate_neural_spec(setting, 8, 5))
+        mech = ra.NeuralMechanism(ra.generate_neural_spec(setting, 8, 5))
         profile = uniform_profile(setting, 0, 11)
         before = mech.evaluations
         # the worst case: the grid, the truthful row, and an off-grid truthful row
@@ -188,7 +188,7 @@ class TestEvalAccounting:
             ra.exhaustive_regret(mech, profile, 0, ra.GridSpec(100), max_evals=10 ** 6)
         assert mech.evaluations == before  # refused before evaluating anything
         # neural 2x2, q=4 spends 25 + 2 evaluations; a budget of 25 used to run them
-        mech = ra.load_neural_mechanism(ra.generate_neural_spec(ra.AuctionSetting(2, 2), 16, 42))
+        mech = ra.NeuralMechanism(ra.generate_neural_spec(ra.AuctionSetting(2, 2), 16, 42))
         profile = uniform_profile(mech.setting, 0, 11)
         with pytest.raises(ra.BudgetExceededError):
             ra.exhaustive_regret(mech, profile, 0, ra.GridSpec(4), max_evals=25)
@@ -237,7 +237,7 @@ class TestBoundChain:
         for n, m in [(1, 2), (2, 2)]:
             setting = ra.AuctionSetting(n, m)
             for mech_seed in (1, 11, 14):
-                mech = ra.load_neural_mechanism(ra.generate_neural_spec(setting, 16, mech_seed))
+                mech = ra.NeuralMechanism(ra.generate_neural_spec(setting, 16, mech_seed))
                 for sample in range(15):
                     profile = uniform_profile(setting, sample, 4242)
                     for bidder in range(n):
@@ -287,7 +287,7 @@ class TestGoldenOracle:
 
     def test_oracle_values_match(self):
         setting = ra.AuctionSetting(2, 2)
-        mech = ra.load_neural_mechanism(
+        mech = ra.NeuralMechanism(
             ra.generate_neural_spec(setting, GOLDEN["hidden_width"], GOLDEN["mech_seed"]))
         profile = np.array(GOLDEN["profile"])
         grid = ra.GridSpec(GOLDEN["oracle_q"])

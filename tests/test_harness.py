@@ -88,6 +88,18 @@ class TestConfig:
         with pytest.raises(ra.MechanismLoadError):
             ra.resolve_mechanism(str(path), ra.AuctionSetting(3, 2))
 
+    @pytest.mark.parametrize("source", [[1], {}])
+    def test_resolve_mechanism_rejects_other_sources(self, source):
+        # a list or a dict raised a raw TypeError from the builtin-name lookup
+        with pytest.raises(ra.MechanismLoadError, match="cannot resolve mechanism"):
+            ra.resolve_mechanism(source, ra.AuctionSetting(2, 2))
+
+    def test_contexts_must_fit_the_setting(self):
+        # three bidder contexts for two bidders failed only in each chunk of the audit
+        dist = ra.ValuationDistribution(KIND_CONTEXTUAL, x_contexts=(1, 2, 3), y_contexts=(4, 5))
+        with pytest.raises(ra.InvalidConfigError, match="contexts have lengths 3/2, need 2/2"):
+            small_cfg(distribution=dist)
+
 
 class TestRunAudit:
     def test_second_price_all_methods_zero(self):
@@ -546,6 +558,34 @@ class TestDeterminism:
         assert data == strip_wall(json.loads(serial.read_text()))
         assert data["config"]["mechanism"] == str(path)
 
+    @pytest.mark.parametrize("as_path", [False, True])
+    def test_mismatched_spec_fails_before_the_pool(self, as_path, tmp_path, monkeypatch):
+        # the spec's setting was checked only in each chunk, after the pool had started
+        spec = ra.generate_neural_spec(ra.AuctionSetting(3, 2), 8, 1)
+        path = tmp_path / "mech.json"
+        ra.write_neural_spec(spec, path)
+        pools = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        cfg = small_cfg(mechanism=str(path) if as_path else spec, samples=4)
+        with pytest.raises(ra.MechanismLoadError, match="3x2 does not match configured 2x2"):
+            ra.run_audit(cfg, workers=2)
+        assert pools == []
+
     def test_worker_resolution(self, monkeypatch):
         monkeypatch.delenv("REGRET_AUDIT_THREADS", raising=False)
         assert resolve_workers(None) == 1
@@ -754,6 +794,29 @@ class TestSweep:
         rows = ra.run_sweep(cfg, [1, 2, 3], [2, 3, 4])
         assert len(rows) == 9
         assert reads == [str(path)]
+
+    def test_mismatched_spec_fails_before_any_audit(self, monkeypatch):
+        # the sweep read a spec path but left its setting to each cell's chunks
+        monkeypatch.setattr(harness, "run_audit", lambda *args: pytest.fail("audit ran"))
+        spec = ra.generate_neural_spec(ra.AuctionSetting(3, 2), 8, 1)
+        with pytest.raises(ra.MechanismLoadError, match="3x2 does not match configured 2x2"):
+            ra.run_sweep(small_cfg(mechanism=spec, methods=("pga",)), [1, 2], [5])
+
+    @pytest.mark.parametrize("l_values, r_values", [
+        (5, [1]), (np.array([1, 2]), [1]), ([1, 2, 0], [5, 10]), ("12", [1]),
+        ([1], [2, True]), ([1.0], [2])],
+        ids=["int", "ndarray", "zero_entry", "str", "bool_entry", "float_entry"])
+    def test_sweep_lists_checked_before_any_audit(self, l_values, r_values, monkeypatch):
+        # 5 and the array raised raw errors, [1, 2, 0] ran four audits before
+        # failing, and "12" was read as the cells 1 and 2
+        monkeypatch.setattr(harness, "run_audit", lambda *args: pytest.fail("audit ran"))
+        with pytest.raises(ra.InvalidConfigError, match="_values"):
+            ra.run_sweep(small_cfg(methods=("pga",)), l_values, r_values)
+
+    def test_range_lists(self):
+        cfg = small_cfg(methods=("pga",), samples=1)
+        rows = ra.run_sweep(cfg, range(1, 3), (2,))
+        assert [(row["L"], row["R"]) for row in rows] == [(1, 2), (2, 2)]
 
     def test_csv_output(self, tmp_path):
         cfg = small_cfg(methods=("pga",), samples=2)

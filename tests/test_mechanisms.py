@@ -15,7 +15,7 @@ from conftest import ConstantMechanism, uniform_profile
 #: a mechanism inheriting the finite-difference gradient, and one overriding it
 GRADIENT_MECHANISMS = {
     "first_price": ra.PerItemFirstPriceAuction,
-    "neural": lambda setting: ra.load_neural_mechanism(ra.generate_neural_spec(setting, 16, 42)),
+    "neural": lambda setting: ra.NeuralMechanism(ra.generate_neural_spec(setting, 16, 42)),
 }
 GOLDEN = json.loads((Path(__file__).parent / "data" / "neural_2x2_seed42.json").read_text())
 
@@ -256,7 +256,7 @@ class TestGradients:
     @pytest.mark.parametrize("n,m", [(1, 2), (2, 2), (3, 3)])
     def test_analytic_matches_finite_differences(self, n, m):
         setting = ra.AuctionSetting(n, m)
-        mech = ra.load_neural_mechanism(ra.generate_neural_spec(setting, 16, 42))
+        mech = ra.NeuralMechanism(ra.generate_neural_spec(setting, 16, 42))
         worst = 0.0
         for sample in range(100):
             profile = uniform_profile(setting, sample, 99)
@@ -374,8 +374,8 @@ class TestNeuralSpec:
         assert spec == again
         # identical forward outputs after reload
         profile = uniform_profile(setting_2x2, 0, 7)
-        a1, p1 = ra.load_neural_mechanism(spec).run(profile)
-        a2, p2 = ra.load_neural_mechanism(again).run(profile)
+        a1, p1 = ra.NeuralMechanism(spec).run(profile)
+        a2, p2 = ra.NeuralMechanism(again).run(profile)
         assert np.array_equal(a1, a2) and np.array_equal(p1, p2)
 
     def test_malformed_spec_names_offending_dimension(self, setting_2x2):
@@ -422,7 +422,7 @@ class TestNeuralSpec:
             weights_in=np.zeros((4, h)), bias_in=np.zeros(h),
             weights_alloc=np.zeros((h, 6)), bias_alloc=np.zeros(6),
             weights_pay=np.zeros((h, 2)), bias_pay=np.zeros(2))
-        mech = ra.load_neural_mechanism(zeros)
+        mech = ra.NeuralMechanism(zeros)
         bids = np.array([[0.4, 0.8], [0.2, 0.6]])
         alloc, pay = mech.run(bids)
         np.testing.assert_allclose(alloc, np.full((2, 2), 1.0 / 3.0), atol=1e-15)
@@ -434,7 +434,7 @@ class TestGoldenForwardPass:
 
     def setup_method(self):
         setting = ra.AuctionSetting(2, 2)
-        self.mech = ra.load_neural_mechanism(
+        self.mech = ra.NeuralMechanism(
             ra.generate_neural_spec(setting, GOLDEN["hidden_width"], GOLDEN["mech_seed"]))
         self.profile = ra.sample_valuations(
             ra.ValuationDistribution(), setting, GOLDEN["sample_index"], GOLDEN["sample_seed"])

@@ -388,7 +388,7 @@ class TestOracleAgreement:
         grid = ra.GridSpec(50)
         for n, m in [(1, 2), (2, 2)]:
             setting = ra.AuctionSetting(n, m)
-            mech = ra.load_neural_mechanism(ra.generate_neural_spec(setting, 16, 42))
+            mech = ra.NeuralMechanism(ra.generate_neural_spec(setting, 16, 42))
             for sample in range(4):
                 profile = uniform_profile(setting, sample, 71)
                 for bidder in range(n):

@@ -25,7 +25,7 @@ from conftest import ConstantMechanism, NanAboveAuction, uniform_profile
 
 SETTING = ra.AuctionSetting(2, 2)
 MECHANISMS = {
-    "neural": lambda: ra.load_neural_mechanism(ra.generate_neural_spec(SETTING, 16, 42)),
+    "neural": lambda: ra.NeuralMechanism(ra.generate_neural_spec(SETTING, 16, 42)),
     "first_price": lambda: ra.PerItemFirstPriceAuction(SETTING),
     # NaN utilities far above truthful bids freeze some rows
     "nan_above": lambda: NanAboveAuction(SETTING, threshold=1.2),
@@ -111,7 +111,7 @@ profiles = st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4).map(
        big_l=st.integers(1, 4), more=st.integers(1, 4))
 def test_pga_regret_nondecreasing_in_restarts(profile, bidder, seed, big_l, more):
     # start l comes from its own stream: L + more restarts contain the first L
-    mech = ra.load_neural_mechanism(NEURAL)
+    mech = ra.NeuralMechanism(NEURAL)
     fewer = ra.random_restart_pga(mech, profile, bidder, ra.PgaConfig(0.1, big_l, 8), seed)
     most = ra.random_restart_pga(mech, profile, bidder, ra.PgaConfig(0.1, big_l + more, 8), seed)
     assert fewer.value <= most.value
@@ -132,7 +132,7 @@ def test_exhaustive_regret_nondecreasing_under_grid_doubling(name, profile, bidd
 @given(profile=profiles, bidder=st.integers(0, 1), seed=st.integers(0, 2**31 - 1),
        q=st.integers(1, 30))
 def test_bound_chain_is_exact(profile, bidder, seed, q):
-    mech = ra.load_neural_mechanism(NEURAL)
+    mech = ra.NeuralMechanism(NEURAL)
     grid = ra.GridSpec(q)
     lower = ra.lower_bound_regret(mech, profile, bidder, grid).value
     for item in range(SETTING.m):
@@ -378,7 +378,7 @@ def kernel_cases(draw):
 def test_neural_kernel_bitwise_equal_batch_major(case):
     n, m, width, B, seed, per_row_bidder, per_row_v = case
     spec = ra.generate_neural_spec(ra.AuctionSetting(n, m), width, seed)
-    kernel, reference = ra.load_neural_mechanism(spec), BatchMajorNeural(spec)
+    kernel, reference = ra.NeuralMechanism(spec), BatchMajorNeural(spec)
     g = np.random.default_rng(seed)
     batch = g.random((B, n, m))
     batch[g.random(batch.shape) < 0.1] = 0.0
