@@ -57,10 +57,12 @@ def _parse_int_csv(text: str, what: str) -> tuple:
 def _build_distribution(dist, x_contexts, y_contexts, std, bidders, items, seed):
     kind = _DIST_CHOICES[dist]
     if kind == KIND_UNIFORM:
+        if (x_contexts, y_contexts, std) != (None, None, None):
+            raise InvalidConfigError("--x-contexts, --y-contexts and --std need --dist ctxnormal")
         return ValuationDistribution(kind=kind)
     x = _parse_int_csv(x_contexts, "--x-contexts") if x_contexts else random_contexts(bidders, seed, stream=0)
     y = _parse_int_csv(y_contexts, "--y-contexts") if y_contexts else random_contexts(items, seed, stream=1)
-    return ValuationDistribution(kind=kind, x_contexts=x, y_contexts=y, std=std)
+    return _override(ValuationDistribution(kind=kind, x_contexts=x, y_contexts=y), std=std)
 
 
 def _override(base, **flags):
@@ -111,8 +113,8 @@ _SHARED_OPTIONS = (
                  help="Comma-separated bidder contexts in 1..10 (ctxnormal only)."),
     click.option("--y-contexts", default=None,
                  help="Comma-separated item contexts in 1..10 (ctxnormal only)."),
-    click.option("--std", type=float, default=0.05, show_default=True,
-                 help="Std of the contextual truncated normal."),
+    click.option("--std", type=float, default=None,
+                 help="Std of the contextual truncated normal (ctxnormal only).  [default: 0.05]"),
     click.option("--preset", type=click.Choice(sorted(PGA_PRESETS)), default=None,
                  help="Named optimizer preset; explicit flags override."),
     click.option("--gamma", type=float, default=None, help="Ascent step size."),

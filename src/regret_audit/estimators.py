@@ -15,8 +15,8 @@ A scan whose best gain is not strictly positive reports exactly 0 at the
 truthful row (``_clamp_gain``), so every estimate is nonnegative. A truthful
 row off the grid is evaluated and charged once more, so that the counts
 match the cost formulas; that evaluation's result is unused. Each estimator
-reports the number of mechanism evaluations it consumed, measured by the
-mechanism's counter. The per-item estimators derive from one ``ItemScan``,
+reports the mechanism evaluations (by the mechanism's counter) and seconds
+it consumed. The per-item estimators read both, in full, off one ``ItemScan``,
 which a caller already holding it passes as ``scan=``.
 """
 
@@ -130,6 +130,7 @@ class ItemScan:
     gains: np.ndarray
     coords: np.ndarray
     evaluations: int
+    seconds: float
 
     def row(self, item: int) -> np.ndarray:
         """The truthful row with ``item`` moved to its best coordinate."""
@@ -195,12 +196,12 @@ def _grid_best(mech: Mechanism, profile: np.ndarray, bidder: int, base: float, a
     return _clamp_gain(best_gain, best_row, truthful)
 
 
-def _check_budget(max_evals: int, scan_rows) -> None:
+def _check_budget(max_evals: int, m: int, grid: GridSpec, exhaustive: bool = False) -> None:
     """Refuse, before any evaluation or grid point is made, a worst case over
     ``max_evals``: the truthful evaluation, and per grid scan its rows and an
-    off-grid truthful row."""
+    off-grid truthful row; (q+1)^m + 2 exhaustive, m(q+2)+1 item-wise."""
     check_int(max_evals, "max_evals", 1)
-    required = 1 + sum(rows + 1 for rows in scan_rows)
+    required = grid.size ** m + 2 if exhaustive else m * (grid.size + 1) + 1
     if required > max_evals:
         raise BudgetExceededError(required=required, budget=max_evals)
 
@@ -212,8 +213,9 @@ def _scan_all_items(mech: Mechanism, profile, bidder: int, grid: GridSpec,
     truthful coordinate, evaluated and charged so that the counts match the
     cost formulas (``_clamp_gain`` gives each item's floor of 0). The budget
     is charged that worst case, m(q+2)+1 on the inclusive grid."""
+    t0 = time.perf_counter()
     m = mech.setting.m
-    _check_budget(max_evals, [grid.size] * m)
+    _check_budget(max_evals, m, grid)
     pts = grid.points
     evals0 = mech.evaluations
     profile, base = _prepare(mech, profile, bidder)
@@ -223,7 +225,8 @@ def _scan_all_items(mech: Mechanism, profile, bidder: int, grid: GridSpec,
         axes = [pts if k == j else truthful[k:k + 1] for k in range(m)]
         gains[j], row = _grid_best(mech, profile, bidder, base, axes)
         coords[j] = row[j]
-    return ItemScan(truthful.copy(), base, gains, coords, mech.evaluations - evals0)
+    return ItemScan(truthful.copy(), base, gains, coords, mech.evaluations - evals0,
+                    time.perf_counter() - t0)
 
 
 def exhaustive_regret(mech: Mechanism, profile, bidder: int, grid: GridSpec,
@@ -237,7 +240,7 @@ def exhaustive_regret(mech: Mechanism, profile, bidder: int, grid: GridSpec,
     """
     t0 = time.perf_counter()
     m = mech.setting.m
-    _check_budget(max_evals, [grid.size ** m])
+    _check_budget(max_evals, m, grid, exhaustive=True)
     pts = grid.points
     evals0 = mech.evaluations
     profile, base = _prepare(mech, profile, bidder)
@@ -249,14 +252,12 @@ def exhaustive_regret(mech: Mechanism, profile, bidder: int, grid: GridSpec,
 def item_regret(mech: Mechanism, profile, bidder: int, item: int, grid: GridSpec,
                 scan: Optional[ItemScan] = None) -> RegretEstimate:
     """Regret from deviating on a single item, all other coordinates truthful."""
-    t0 = time.perf_counter()
     check_int(item, "item", 0)
     if item >= mech.setting.m:
         raise InvalidInputError(f"item {item} out of range for m={mech.setting.m}")
-    if scan is None:
-        scan = _scan_all_items(mech, profile, bidder, grid)
+    scan = scan or _scan_all_items(mech, profile, bidder, grid)
     return RegretEstimate(METHOD_ITEM, bidder, float(scan.gains[item]), scan.row(item),
-                          scan.evaluations, time.perf_counter() - t0)
+                          scan.evaluations, scan.seconds)
 
 
 def lower_bound_regret(mech: Mechanism, profile, bidder: int, grid: GridSpec,
@@ -266,11 +267,8 @@ def lower_bound_regret(mech: Mechanism, profile, bidder: int, grid: GridSpec,
     Any gradient-based estimate falling below this value has missed a
     deviation that a single-coordinate scan already found.
     """
-    t0 = time.perf_counter()
-    if scan is None:
-        scan = _scan_all_items(mech, profile, bidder, grid)
-    return RegretEstimate(METHOD_LOWER_BOUND, bidder, *scan.best(), scan.evaluations,
-                          time.perf_counter() - t0)
+    scan = scan or _scan_all_items(mech, profile, bidder, grid)
+    return RegretEstimate(METHOD_LOWER_BOUND, bidder, *scan.best(), scan.evaluations, scan.seconds)
 
 
 def item_wise_regret(mech: Mechanism, profile, bidder: int, grid: GridSpec,
@@ -280,8 +278,6 @@ def item_wise_regret(mech: Mechanism, profile, bidder: int, grid: GridSpec,
     The sum does not correspond to a single deviation, so no misreport is
     reported.
     """
-    t0 = time.perf_counter()
-    if scan is None:
-        scan = _scan_all_items(mech, profile, bidder, grid)
+    scan = scan or _scan_all_items(mech, profile, bidder, grid)
     return RegretEstimate(METHOD_ITEM_WISE, bidder, float(scan.gains.sum()), None,
-                          scan.evaluations, time.perf_counter() - t0)
+                          scan.evaluations, scan.seconds)

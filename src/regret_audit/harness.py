@@ -9,14 +9,16 @@ are assembled in (sample, bidder, method) order, so parallel and serial runs
 produce identical reports up to wall-clock fields. Methods are dispatched
 through one ordered registry, ``METHODS``, whose entries read their grids
 and search settings from the audit's config; a cell holds only its sample,
-profile, bidder and search seed. ``_checked_source`` is the one reading of
-a mechanism source: ``run_audit`` and ``run_sweep`` call it before any chunk,
-worker or sweep cell, so a spec path is read, and its setting checked, once.
+profile, bidder and search seed; ``_grid`` names each method's grid. Before
+any chunk, worker or sweep cell, ``_checked_source`` reads the mechanism
+source once (a spec path is read, its setting checked), and ``run_audit``
+refuses every grid scan over its budget.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import os
 import time
 from dataclasses import dataclass, replace
@@ -79,9 +81,14 @@ class _Cell:
     seed: int  # search seed
 
 
+def _grid(cfg: AuditRunConfig, method: str) -> GridSpec:
+    """The grid ``method`` scans: the guided grid, when set, for guided."""
+    return cfg.guided_grid or cfg.grid if method == METHOD_GUIDED else cfg.grid
+
+
 def _guided(cfg, mech, cells, scans):
-    """The ``METHODS`` entry of guided refinement, on the guided grid."""
-    grid = cfg.guided_grid or cfg.grid
+    """The ``METHODS`` entry of guided refinement, on its grid."""
+    grid = _grid(cfg, METHOD_GUIDED)
     return [[est] for est in run_searches(mech, (
         guided_search(mech, c.profile, c.bidder, grid, cfg.portfolio, c.seed, scan=scan)
         for c, scan in zip(cells, scans(grid))), cfg.portfolio.refine)]
@@ -218,28 +225,18 @@ def _chunk_estimates(cfg: AuditRunConfig, mech: Mechanism,
     Each method runs over the whole chunk, so a search method climbs the
     candidates of every cell together. At most one item scan is computed per
     cell and distinct grid, and every method derived from it shares it. Each
-    of their records still counts the scan's full evaluations; its seconds
-    go to the first record using it.
+    of their records counts the scan's evaluations and seconds in full.
     """
-    cache, pending = {}, [0.0] * len(cells)  # grid -> each cell's scan; seconds not yet charged
-
+    @functools.cache
     def scans(grid: GridSpec) -> List[ItemScan]:
-        if grid not in cache:
-            cache[grid] = []
-            for i, cell in enumerate(cells):
-                t0 = time.perf_counter()
-                # looked up on the module at call time, like the estimators
-                cache[grid].append(estimators._scan_all_items(
-                    mech, cell.profile, cell.bidder, grid, cfg.max_grid_evals))
-                pending[i] += time.perf_counter() - t0
-        return cache[grid]
+        # looked up on the module at call time, like the estimators
+        return [estimators._scan_all_items(mech, c.profile, c.bidder, grid, cfg.max_grid_evals)
+                for c in cells]
 
     per_cell = [[] for _ in cells]
     for name in cfg.methods:
-        for i, estimates in enumerate(METHODS[name](cfg, mech, cells, scans)):
-            estimates[0].wall_seconds += pending[i]
-            pending[i] = 0.0
-            per_cell[i] += estimates
+        for estimates, more in zip(per_cell, METHODS[name](cfg, mech, cells, scans)):
+            estimates += more
     return per_cell
 
 
@@ -283,6 +280,9 @@ def run_audit(cfg: AuditRunConfig, workers: Optional[int] = None) -> AuditReport
     t0 = time.perf_counter()
     echo = config_echo(cfg)  # names a spec path, not the spec read from it
     cfg = replace(cfg, mechanism=_checked_source(cfg.mechanism, cfg.setting))
+    for method in (name for name in cfg.methods if name != METHOD_PGA):  # before any chunk
+        estimators._check_budget(cfg.max_grid_evals, cfg.setting.m, _grid(cfg, method),
+                                 exhaustive=method == METHOD_EXHAUSTIVE)
     # reports do not depend on the worker count, so more workers than CPUs add only memory
     workers = min(resolve_workers(workers), os.cpu_count() or 1)
 

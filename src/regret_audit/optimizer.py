@@ -323,14 +323,14 @@ def guided_search(mech: Mechanism, profile, bidder: int, grid: GridSpec,
                    cfg: PortfolioConfig, seed: int,
                    scan: Optional[ItemScan] = None) -> _Search:
     """The first half of ``guided_refinement``: the grid phase (``scan`` when
-    the caller already holds it) and the portfolio built on its optima."""
+    the caller already holds it) and the portfolio built on its optima, charged
+    the scan's evaluations and seconds in full."""
+    scan = scan or _scan_all_items(mech, profile, bidder, grid)
     t0 = time.perf_counter()
-    if scan is None:
-        scan = _scan_all_items(mech, profile, bidder, grid)
     profile = np.asarray(profile, dtype=np.float64)
     starts = build_portfolio(profile, bidder, scan.coords, cfg, seed)
     return _Search(METHOD_GUIDED, profile, bidder, scan.base, starts, scan.evaluations,
-                   time.perf_counter() - t0, scan)
+                   scan.seconds + time.perf_counter() - t0, scan)
 
 
 def guided_refinement(mech: Mechanism, profile, bidder: int, grid: GridSpec,

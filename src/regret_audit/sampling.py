@@ -23,7 +23,7 @@ class ValuationDistribution:
     The contextual kind assigns each bidder a context x_i and each item a
     context y_j, both in {1..10}; entry (i, j) is drawn from a normal with
     mean ((x_i + y_j) mod 10 + 1) / 11 and the given std in (0, 1], truncated
-    to [0, 1]. Contexts given to either kind must be integers in 1..10.
+    to [0, 1]. Only the contextual kind takes contexts, integers in 1..10.
     """
 
     kind: str = KIND_UNIFORM
@@ -38,8 +38,9 @@ class ValuationDistribution:
         if self.std > 1.0:  # a wider normal truncated to [0, 1] needs ever more redraws
             raise InvalidConfigError(f"std must be <= 1, the width of [0, 1], got {self.std!r}")
         for name, ctx in (("x_contexts", self.x_contexts), ("y_contexts", self.y_contexts)):
-            if ctx is None and self.kind == KIND_CONTEXTUAL:
-                raise InvalidConfigError(f"{name} required for {KIND_CONTEXTUAL}")
+            if (ctx is None) == (self.kind == KIND_CONTEXTUAL):
+                raise InvalidConfigError(f"{name} must be given for {KIND_CONTEXTUAL} and only "
+                                         f"for it; got {ctx!r} for kind {self.kind!r}")
             for c in ctx or ():
                 check_int(c, f"{name} entries", 1, InvalidConfigError)
                 if c > 10:

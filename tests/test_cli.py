@@ -1,6 +1,7 @@
 """CLI subcommands, output files, and exit codes."""
 
 import json
+import pickle
 from functools import partial
 
 import pytest
@@ -109,6 +110,17 @@ class TestEval:
         assert "std must be <= 1" in result.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", [{"x_contexts": "1,2,3,4,5"}, {"y_contexts": "3,4"},
+                                      {"std": 0.7}, {"std": 0.05}], ids=str)
+    def test_contextual_flags_with_uniform01_exit_2(self, runner, tmp_path, monkeypatch, flag):
+        # each was accepted and dropped: the echo read x_contexts null, std 0.05
+        monkeypatch.setattr("regret_audit.cli.run_audit", lambda *args: pytest.fail("audit ran"))
+        out = tmp_path / "report.json"
+        result = runner.invoke(cli, eval_args(out, dist="uniform01", **flag))
+        assert result.exit_code == 2, result.output
+        assert "--x-contexts, --y-contexts and --std need --dist ctxnormal" in result.output
+        assert not out.exists()
+
     def test_contexts_longer_than_the_setting_exit_2(self, runner, tmp_path, monkeypatch):
         # the config was accepted and the audit failed in each of its chunks
         monkeypatch.setattr("regret_audit.cli.run_audit", lambda *args: pytest.fail("audit ran"))
@@ -164,8 +176,8 @@ class TestEval:
         assert not out.exists()
 
     def test_pooled_errors_keep_exit_codes(self, runner, tmp_path, monkeypatch):
-        # the budget error is raised in a pool task and reaches the parent
-        # pickled; the spec file is read once, before the pool starts
+        # the budget error is raised, and the spec file read once, before the
+        # pool starts; test_budget_error_pickles covers a pickled error
         monkeypatch.setenv("REGRET_AUDIT_THREADS", "2")
         # run_audit starts at most one worker per CPU; pretend there are 2 so the pool starts
         monkeypatch.setattr("os.cpu_count", lambda: 2)
@@ -185,6 +197,14 @@ class TestEval:
     def test_unwritable_output_exits_4(self, runner, tmp_path):
         result = runner.invoke(cli, eval_args(tmp_path / "no_dir" / "report.json"))
         assert result.exit_code == 4
+
+
+def test_budget_error_pickles():
+    # errors cross the process pool pickled; the default rebuilds from args
+    error = pickle.loads(pickle.dumps(ra.BudgetExceededError(required=27, budget=25)))
+    assert type(error) is ra.BudgetExceededError
+    assert (error.required, error.budget) == (27, 25)
+    assert str(error) == "grid scan needs 27 mechanism evaluations, exceeding the budget of 25"
 
 
 def test_each_error_type_carries_its_exit_code():

@@ -172,6 +172,16 @@ class TestEvalAccounting:
         it = ra.item_regret(mech, profile, 0, 0, grid)
         assert it.mech_evals == m * (q + 2) + 1
 
+    def test_estimates_read_off_a_scan_count_its_evaluations_and_seconds(
+            self, setting_2x2, neural_2x2):
+        # item_wise used to report its own microseconds for the scan's 2005 evaluations
+        profile = uniform_profile(setting_2x2, 0, 7)
+        scan = estimators._scan_all_items(neural_2x2, profile, 0, ra.GridSpec(1000))
+        assert scan.seconds > 0.0
+        for estimate in (ra.lower_bound_regret, ra.item_wise_regret):
+            est = estimate(neural_2x2, profile, 0, ra.GridSpec(1000), scan=scan)
+            assert (est.mech_evals, est.wall_seconds) == (scan.evaluations, scan.seconds)
+
     def test_counter_delta_matches_reported(self, setting_2x2, neural_2x2):
         profile = uniform_profile(setting_2x2, 0, 7)
         before = neural_2x2.evaluations

@@ -178,7 +178,8 @@ class TestRunAudit:
         # run_audit starts at most one worker per CPU; pretend there are 2 so the pool starts
         monkeypatch.setattr("os.cpu_count", lambda: 2)
         cfg = small_cfg(methods=("exhaustive",), grid=ra.GridSpec(100), max_grid_evals=100)
-        # from a pool worker the error arrives pickled; it used to break the pool
+        # refused before any worker starts (test_budget_error_pickles keeps the
+        # pickled path covered); from a pool worker it used to break the pool
         for workers in (1, 2):
             with pytest.raises(ra.BudgetExceededError) as info:
                 ra.run_audit(cfg, workers=workers)
@@ -194,6 +195,26 @@ class TestRunAudit:
         with pytest.raises(ra.BudgetExceededError) as info:
             ra.run_audit(cfg, workers=workers)
         assert (info.value.required, info.value.budget) == (2 * 100002 + 1, 100)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_every_scan_budget_is_checked_before_any_chunk_or_pool(self, workers, monkeypatch):
+        # pga used to spend 402,040 evaluations here before guided's scan
+        # refused its grid, and a pooled audit started its workers first
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        charged, chunks, chunk_records = [], [], harness._chunk_records
+        monkeypatch.setattr(ra.mechanisms.Mechanism, "_charge",
+                            lambda self, count: charged.append(count))
+        monkeypatch.setattr(harness, "_chunk_records",
+                            lambda cfg, samples: chunks.append(samples) or chunk_records(cfg, samples))
+        monkeypatch.setattr(harness, "ProcessPoolExecutor",
+                            lambda **kwargs: pytest.fail("a pool started"))
+        cfg = small_cfg(samples=20, methods=("pga", "guided"), pga=ra.PgaConfig(0.1, 50, 200),
+                        guided_grid=ra.GridSpec(10 ** 9))
+        with pytest.raises(ra.BudgetExceededError) as info:
+            ra.run_audit(cfg, workers=workers)
+        assert (info.value.required, info.value.budget) == \
+            (2 * (10 ** 9 + 2) + 1, ra.DEFAULT_EVAL_BUDGET)
+        assert (sum(charged), chunks) == (0, [])
 
     def test_budget_checked_before_the_points_are_built(self):
         # the 10**13 grid points used to be built before the budget refused them
@@ -283,6 +304,17 @@ class TestRegistry:
         assert shared[0][m + 1].mech_evals == scan_evals
         assert executed == sum(e.mech_evals for est in shared for e in est) \
             - len(cells) * (m + 1) * scan_evals
+
+    def test_records_sharing_a_scan_count_its_seconds(self, setting_2x2, neural_2x2):
+        # only the first record reading a shared scan used to count its seconds
+        cfg = chunk_cfg(("item", "lower_bound", "item_wise", "guided"))
+        cells = [_Cell(s, uniform_profile(setting_2x2, s, 7), b, seed=5)
+                 for s in range(2) for b in range(2)]
+        for estimates in _chunk_estimates(cfg, neural_2x2, cells):
+            *read, guided = estimates
+            assert [e.method for e in read] == ["item"] * 2 + ["lower_bound", "item_wise"]
+            assert len({e.wall_seconds for e in read}) == 1
+            assert guided.method == "guided" and guided.wall_seconds >= read[0].wall_seconds
 
     def test_distinct_guided_grid_scans_again(self, setting_2x2, neural_2x2):
         profile = uniform_profile(setting_2x2, 0, 7)

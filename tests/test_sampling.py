@@ -95,6 +95,13 @@ class TestContextual:
         with pytest.raises(ra.InvalidConfigError):
             ra.ValuationDistribution(std=0.0)
 
+    @pytest.mark.parametrize("contexts", [dict(x_contexts=(1, 2)), dict(y_contexts=(3,)),
+                                          dict(x_contexts=(1, 2), y_contexts=(3,))])
+    def test_only_the_contextual_kind_takes_contexts(self, contexts):
+        # uniform01 used to keep contexts it never reads
+        with pytest.raises(ra.InvalidConfigError, match="only for it"):
+            ra.ValuationDistribution(**contexts)
+
     @pytest.mark.parametrize("std", [float("inf"), float("nan"), -0.05, 1.5, 1e5])
     def test_std_must_be_finite_and_positive(self, std):
         # an infinite std would make the truncation redraw loop never end, and
