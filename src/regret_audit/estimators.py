@@ -72,9 +72,7 @@ class GridSpec:
 
     @property
     def points(self) -> np.ndarray:
-        if self.style == GRID_STYLE_INCLUSIVE:
-            return np.arange(self.q + 1, dtype=np.float64) / self.q
-        return np.arange(1, self.q + 1, dtype=np.float64) / self.q
+        return np.arange(self.q + 1, dtype=np.float64)[-self.size:] / self.q
 
 
 @dataclass
@@ -105,6 +103,7 @@ def _prepare(mech: Mechanism, profile, bidder: int):
     """Every estimator's preamble: the validated profile and the truthful
     utility (one evaluation) that every gain is measured against."""
     profiles, _, v = check_query(mech.setting, [profile], bidder)
+    check_int(bidder, "bidder", 0)  # one bidder, not one per row of the stack [profile]
     profile = profiles[0]
     base = float(mech._misreport_utilities(profile, bidder, v, v)[0])  # v: the truthful row
     if not np.isfinite(base):

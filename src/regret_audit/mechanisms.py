@@ -10,7 +10,6 @@ inputs produce bitwise-identical outputs.
 from __future__ import annotations
 
 import json
-import numbers
 import threading
 from dataclasses import dataclass
 from typing import Tuple
@@ -18,7 +17,8 @@ from typing import Tuple
 import numpy as np
 
 from . import rng
-from .errors import InvalidInputError, MechanismLoadError, check_int, check_type
+from .errors import (InvalidConfigError, InvalidInputError, MechanismLoadError, check_int,
+                     check_type)
 
 FD_STEP = 1e-5
 
@@ -63,7 +63,7 @@ def check_query(setting: AuctionSetting, profile, bidder, rows=None, valuation_r
     query is
 
     * ``profile``: one (n, m) profile, or one per row, (B, n, m);
-    * ``bidder``: an int (checked in O(1)), or one per row;
+    * ``bidder``: an int, or one per row;
     * ``rows``: (B, m) candidate bid rows in [0, 1]; without them the rows
       are each profile's row of its bidder, so ``profile`` must be a stack
       (one profile is checked as the stack ``[profile]``);
@@ -87,23 +87,18 @@ def check_query(setting: AuctionSetting, profile, bidder, rows=None, valuation_r
     if profile.shape not in forms:
         want = f"a stack (B, {n}, {m})" if rows is None else f"({n}, {m}) or ({B}, {n}, {m})"
         raise InvalidInputError(f"profile shape {profile.shape} does not match {want}")
-    if isinstance(bidder, numbers.Integral) and not isinstance(bidder, bool):
-        valid = 0 <= bidder < n
-    else:
-        index = np.asarray(bidder)
-        valid = index.dtype.kind in "iu" and ((index >= 0) & (index < n)).all()
-        if valid and index.shape not in ((), (B,)):
-            raise InvalidInputError(f"bidder shape {index.shape} != ({B},): one per row")
-    if not valid:
+    index = np.asarray(bidder)
+    if not (index.dtype.kind in "iu" and ((index >= 0) & (index < n)).all()):
         raise InvalidInputError(f"bidder {bidder} out of range for n={n}")
+    if index.shape not in ((), (B,)):
+        raise InvalidInputError(f"bidder shape {index.shape} != ({B},): one per row")
     _check_values(profile, "profile entries")
     if rows is not None and rows.size and not (rows.min() >= 0.0 and rows.max() <= 1.0):
         i = int(np.argmin(((rows >= 0.0) & (rows <= 1.0)).all(axis=1)))
         raise InvalidInputError(f"misreport row {rows[i].tolist()} of bidder "
                                 f"{np.broadcast_to(bidder, (B,))[i]} is not in [0, 1]")
     if valuation_row is None:
-        stack = profile if profile.ndim == 3 else np.broadcast_to(profile, (B, n, m))
-        return profile, rows, stack[_own(B, bidder)]
+        return profile, rows, np.broadcast_to(profile, (B, n, m))[np.arange(B), bidder]
     v = as_floats(valuation_row, "valuation row")
     if v.shape not in ((m,), (B, m)):
         raise InvalidInputError(f"valuation row shape {v.shape} != ({m},) or ({B}, {m})")
@@ -164,7 +159,7 @@ class Mechanism:
         """Central finite differences, 2m+1 evaluations per profile in one
         ``_misreport_utilities`` call; an analytic gradient overrides this
         hook and ``_charge``s its passes."""
-        return _fd_utilities(self, batch, bidder, batch[_own(batch.shape[0], bidder)], v)
+        return _fd_utilities(self, batch, bidder, batch[np.arange(len(batch)), bidder], v)
 
     def _misreport_utilities(self, profile: np.ndarray, bidder, rows: np.ndarray,
                              v: np.ndarray) -> np.ndarray:
@@ -172,7 +167,7 @@ class Mechanism:
         valuation ``v`` (one row or one per row), others as in its profile
         (shapes as in ``rows_to_profiles``); one evaluation per row."""
         alloc, pay = self.run_many(rows_to_profiles(profile, bidder, rows))
-        own = _own(rows.shape[0], bidder)
+        own = np.arange(rows.shape[0]), bidder
         return (alloc[own] * v).sum(axis=1) - pay[own]
 
     def run(self, bids) -> Tuple[np.ndarray, np.ndarray]:
@@ -370,10 +365,21 @@ def spec_from_dict(data: dict) -> NeuralMechanismSpec:
 
 
 def write_json(data, path) -> None:
-    """Write ``data`` as indented JSON with a trailing newline."""
+    """Write ``data`` as indented JSON with a trailing newline, numpy scalars
+    as the Python numbers they hold. The text is built before the file is
+    opened, so a value JSON cannot hold leaves the file as it was."""
+    try:
+        text = json.dumps(data, indent=2, default=_python_scalar) + "\n"
+    except (TypeError, ValueError) as exc:
+        raise InvalidConfigError(f"cannot write {path}: {exc}") from exc
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2)
-        fh.write("\n")
+        fh.write(text)
+
+
+def _python_scalar(value):
+    if not isinstance(value, np.generic):
+        raise TypeError(f"a {type(value).__name__} is not JSON serializable")
+    return value.item()
 
 
 def read_json(path, what: str, error):
@@ -447,7 +453,7 @@ class NeuralMechanism(Mechanism):
         h, g_full, sig, reported, alloc, pay = self._forward(batch)
         self._charge(B)
 
-        own = _own(B, bidder)
+        own = np.arange(B), bidder
         gb = alloc[own]
         sig_b = sig[own]
         u = (gb * v).sum(axis=1) - pay[own]
@@ -468,12 +474,6 @@ class NeuralMechanism(Mechanism):
         return u, grad
 
 
-def _own(batch_size: int, bidder):
-    """Index of each profile's bidder entry in a (B, n, ...) array; ``bidder``
-    is an int or one per row."""
-    return np.arange(batch_size), bidder
-
-
 def rows_to_profiles(profile: np.ndarray, bidder, rows: np.ndarray) -> np.ndarray:
     """Stack copies of the profile with each row's bidder's row replaced by it.
 
@@ -482,7 +482,7 @@ def rows_to_profiles(profile: np.ndarray, bidder, rows: np.ndarray) -> np.ndarra
     """
     B = rows.shape[0]
     batch = np.broadcast_to(profile, (B,) + profile.shape[-2:]).copy()
-    batch[_own(B, bidder)] = rows
+    batch[np.arange(B), bidder] = rows
     return batch
 
 
@@ -537,6 +537,7 @@ def _fd_utilities(mech: Mechanism, profile: np.ndarray, bidder, rows: np.ndarray
 def utility(mech: Mechanism, valuation_row, bids, bidder: int) -> float:
     """Additive utility: sum_j v_j * g_[bidder,j](bids) - p_[bidder](bids)."""
     profile, _, v = check_query(mech.setting, [bids], bidder, valuation_row=valuation_row)
+    check_int(bidder, "bidder", 0)  # one bidder, not one per row of the stack [bids]
     alloc, pay = mech.run_many(profile)
     return float((alloc[0, bidder] * v).sum() - pay[0, bidder])
 

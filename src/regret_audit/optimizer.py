@@ -74,7 +74,7 @@ class PortfolioConfig:
     The portfolio holds 1 + m + 3*k candidates: the combinatorial aggregate of
     the per-item grid optima, one single-item candidate per item, and k each
     of perturbed-combinatorial, perturbed-truthful, and uniform-random
-    candidates. ``refine.big_l`` is ignored; the portfolio supplies the
+    candidates. ``refine.big_l`` must be 1; the portfolio supplies the
     starts.
     """
 
@@ -88,6 +88,9 @@ class PortfolioConfig:
         check_float(self.sigma_opt, "sigma_opt")
         check_float(self.sigma_truth, "sigma_truth")
         check_type(self.refine, "refine", PgaConfig)
+        if self.refine.big_l != 1:
+            raise InvalidInputError(f"refine.big_l must be 1, the portfolio supplies the "
+                                    f"starts; got {self.refine.big_l}")
 
 
 #: portfolio presets matched to the models' misreport landscapes
@@ -101,8 +104,6 @@ PORTFOLIO_PRESETS = {
 def _best_candidate(best_utils: np.ndarray, best_rows: np.ndarray) -> int:
     """Deterministic cross-candidate reduction: max utility, then lex-smallest row."""
     top = np.flatnonzero(best_utils == best_utils.max())
-    if top.size == 1:
-        return int(top[0])
     # lexsort keys run last-to-first, so feed coordinates in reverse
     return int(top[np.lexsort(best_rows[top].T[::-1])[0]])
 
@@ -137,9 +138,8 @@ def _ascend(mech: Mechanism, profiles: np.ndarray, bidders: np.ndarray, starts: 
         x = np.clip(x + gamma * g, 0.0, 1.0)
         u, g = evaluate(x, step == steps)
         improved = u > best_u
-        if improved.any():
-            best_u = np.where(improved, u, best_u)
-            best_x[improved] = x[improved]
+        best_u = np.where(improved, u, best_u)
+        best_x[improved] = x[improved]
     return best_x, best_u, frozen
 
 
@@ -155,7 +155,7 @@ class _Search:
     starts: np.ndarray
     evals: int  # evaluations spent before the ascent
     seconds: float
-    scan: Optional[ItemScan] = None  # guided's grid phase, the result's floor
+    floor: Optional[tuple] = None  # guided's grid lower bound, as (gain, row)
 
 
 def _finish(search: _Search, best_rows: np.ndarray, best_utils: np.ndarray,
@@ -175,9 +175,8 @@ def _finish(search: _Search, best_rows: np.ndarray, best_utils: np.ndarray,
     best_rows, best_utils = best_rows[finite], best_utils[finite]
     win = _best_candidate(best_utils, best_rows)
     value, row = float(best_utils[win]) - search.base, best_rows[win].copy()
-    floor = search.scan.best() if search.scan is not None else (-np.inf, None)
-    if value < floor[0]:
-        value, row = floor
+    if search.floor is not None and value < search.floor[0]:
+        value, row = search.floor
     value, row = _clamp_gain(value, row, search.profile[search.bidder])
     return RegretEstimate(search.method, search.bidder, value, row, search.evals + evals,
                           search.seconds + seconds + time.perf_counter() - t0,
@@ -218,14 +217,11 @@ def _climb(mech: Mechanism, searches: Sequence[_Search],
     starts = np.concatenate([s.starts for s in searches])
     profiles = np.stack([s.profile for s in searches])
     bidders = np.array([s.bidder for s in searches])
-    best_rows, best_utils = np.empty_like(starts), np.empty(len(starts))
-    frozen = np.empty(len(starts), dtype=bool)
     t0, evals0 = time.perf_counter(), mech.evaluations
-    for lo in range(0, len(starts), _SCAN_CHUNK):
-        group = slice(lo, min(lo + _SCAN_CHUNK, len(starts)))
-        best_rows[group], best_utils[group], frozen[group] = _ascend(
-            mech, profiles[owner[group]], bidders[owner[group]], starts[group],
-            ascent.gamma, ascent.big_r)
+    groups = [slice(lo, lo + _SCAN_CHUNK) for lo in range(0, len(starts), _SCAN_CHUNK)]
+    best_rows, best_utils, frozen = map(np.concatenate, zip(*(
+        _ascend(mech, profiles[owner[g]], bidders[owner[g]], starts[g], ascent.gamma, ascent.big_r)
+        for g in groups)))
     evals_per_row, rest = divmod(mech.evaluations - evals0, len(starts))
     if rest:
         raise InvalidInputError(f"mechanism charged {mech.evaluations - evals0} evaluations "
@@ -245,6 +241,7 @@ def pga_single(mech: Mechanism, profile, bidder: int, start, gamma: float,
     ``best_utility`` is never below the start's utility.
     """
     profiles = check_query(mech.setting, [profile], bidder)[0]
+    check_int(bidder, "bidder", 0)  # one bidder, not one per row of the stack [profile]
     check_float(gamma, "gamma", positive=True)
     check_int(big_r, "big_r", 0)
     start = as_floats(start, "start")
@@ -330,7 +327,7 @@ def guided_search(mech: Mechanism, profile, bidder: int, grid: GridSpec,
     profile = np.asarray(profile, dtype=np.float64)
     starts = build_portfolio(profile, bidder, scan.coords, cfg, seed)
     return _Search(METHOD_GUIDED, profile, bidder, scan.base, starts, scan.evaluations,
-                   scan.seconds + time.perf_counter() - t0, scan)
+                   scan.seconds + time.perf_counter() - t0, scan.best())
 
 
 def guided_refinement(mech: Mechanism, profile, bidder: int, grid: GridSpec,

@@ -11,8 +11,11 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 import regret_audit as ra
+
+pytestmark = pytest.mark.acceptance
 
 WORKERS = 2  # matches this machine; criterion 7 additionally runs 8 workers
 

@@ -53,6 +53,14 @@ class TestGridSpec:
         fine = ra.GridSpec(50).points
         assert np.isin(coarse, fine).all()
 
+    @pytest.mark.parametrize("style", estimators.GRID_STYLES)
+    def test_points_are_the_last_size_points_t_over_q(self, style):
+        for q in range(1, 201):
+            grid = ra.GridSpec(q, style)
+            first = 0 if style == "inclusive" else 1
+            assert len(grid.points) == grid.size
+            assert np.array_equal(grid.points, np.arange(first, q + 1, dtype=np.float64) / q)
+
     def test_invalid(self):
         with pytest.raises(ra.InvalidInputError):
             ra.GridSpec(0)
@@ -344,3 +352,51 @@ class TestDeterministicScan:
         assert est.best_misreport.tolist() == [0.5]
         item = ra.item_regret(mech, profile, 0, 0, ra.GridSpec(10))
         assert item.best_misreport.tolist() == [0.5]
+
+
+#: every single-cell entry, as call(mech, profile, bidder) on first price 2x2, q=4
+SINGLE_CELL_ENTRIES = {
+    "exhaustive_regret": lambda mech, p, b: ra.exhaustive_regret(mech, p, b, ra.GridSpec(4)),
+    "item_regret": lambda mech, p, b: ra.item_regret(mech, p, b, 0, ra.GridSpec(4)),
+    "lower_bound_regret": lambda mech, p, b: ra.lower_bound_regret(mech, p, b, ra.GridSpec(4)),
+    "item_wise_regret": lambda mech, p, b: ra.item_wise_regret(mech, p, b, ra.GridSpec(4)),
+    "random_restart_pga": lambda mech, p, b: ra.random_restart_pga(
+        mech, p, b, ra.PgaConfig(0.1, 3, 5), 0),
+    "guided_refinement": lambda mech, p, b: ra.guided_refinement(
+        mech, p, b, ra.GridSpec(4), ra.PortfolioConfig(refine=ra.PgaConfig(0.1, 1, 5)), 0),
+    "pga_single": lambda mech, p, b: ra.pga_single(mech, p, b, [0.5, 0.5], 0.1, 5),
+    "utility": lambda mech, p, b: ra.utility(mech, p[0], p, b),
+}
+
+
+def _result_key(result):
+    """What a result reports, wall-clock time aside."""
+    if isinstance(result, ra.RegretEstimate):
+        result = (result.method, result.bidder, result.value, result.best_misreport,
+                  result.mech_evals, result.gradient_steps, result.flagged)
+    if isinstance(result, tuple):
+        return tuple(r.tolist() if isinstance(r, np.ndarray) else r for r in result)
+    return result
+
+
+@pytest.mark.parametrize("entry", SINGLE_CELL_ENTRIES)
+class TestSingleCellBidder:
+    """A single-cell entry takes one integer bidder: an array of one bidder
+    is refused before any evaluation, not read as one bidder per row."""
+
+    @pytest.mark.parametrize("bidder", [np.array(0), np.array([0])], ids=repr)
+    def test_arrays_refused_before_any_evaluation(self, entry, bidder):
+        # np.array(0) used to run the estimators in full (guided here spent 91
+        # evaluations) before the record refused it; np.array([0]) raised raw
+        # numpy errors or reported a bidder shape of (2, 1)
+        mech = ra.PerItemFirstPriceAuction(ra.AuctionSetting(2, 2))
+        profile = uniform_profile(mech.setting, 0, 7)
+        with pytest.raises(ra.InvalidInputError, match="bidder must be an integer"):
+            SINGLE_CELL_ENTRIES[entry](mech, profile, bidder)
+        assert mech.evaluations == 0
+
+    def test_integers_agree(self, entry):
+        mech = ra.PerItemFirstPriceAuction(ra.AuctionSetting(2, 2))
+        profile = uniform_profile(mech.setting, 0, 7)
+        results = [SINGLE_CELL_ENTRIES[entry](mech, profile, b) for b in (0, np.int64(0))]
+        assert _result_key(results[0]) == _result_key(results[1])

@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import importlib.util
 import json
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -773,6 +774,36 @@ class TestReportIO:
             ra.AuditReport(5, [], 0.0).method_means
         with pytest.raises(ra.InvalidInputError, match="records must be of type list"):
             ra.AuditReport(config, None, 0.0)
+
+    def test_numpy_integers_write_as_python_integers(self, tmp_path):
+        # both reports used to stop at the first numpy integer with a raw
+        # TypeError, leaving a cut-off JSON file
+        def text(path):
+            return re.sub(r'"wall_seconds": [^,\n]+', '"wall_seconds": 0.0', path.read_text())
+
+        for i, to in enumerate((int, np.int64)):
+            ra.run_audit(small_cfg(grid=ra.GridSpec(to(4)), samples=to(2), seed=to(3),
+                                   methods=("lower_bound",), out=tmp_path / f"audit{i}.json"))
+            mech = ra.PerItemFirstPriceAuction(ra.AuctionSetting(2, 2))
+            est = ra.exhaustive_regret(mech, uniform_profile(mech.setting, 0, 7), to(1),
+                                       ra.GridSpec(4))
+            config = {"setting": {"n": 2, "m": 2}, "samples": 1, "methods": ["exhaustive"]}
+            others = ra.RegretEstimate("exhaustive", 0, 0.0, None, 1, 0.0)
+            ra.write_report(ra.AuditReport(config, [ra.AuditRecord(0, others),
+                                                    ra.AuditRecord(0, est)], 0.0),
+                            tmp_path / f"record{i}.json")
+        for name in ("audit", "record"):
+            assert text(tmp_path / f"{name}1.json") == text(tmp_path / f"{name}0.json")
+
+    def test_unwritable_value_leaves_the_file(self, tmp_path):
+        path = tmp_path / "r.json"
+        path.write_text("an earlier report")
+        config = {"setting": {"n": 1, "m": 1}, "samples": 1, "methods": ["item_wise"],
+                  "note": object()}
+        est = ra.RegretEstimate("item_wise", 0, 0.0, None, 1, 0.0)
+        with pytest.raises(ra.AuditError, match="cannot write .*object is not JSON"):
+            ra.write_report(ra.AuditReport(config, [ra.AuditRecord(0, est)], 0.0), path)
+        assert path.read_text() == "an earlier report"
 
     def test_record_keys_are_the_estimate_fields(self):
         # a RegretEstimate field is written exactly when it is read back

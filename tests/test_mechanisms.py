@@ -329,6 +329,72 @@ class TestGradients:
                 assert all(np.array_equal(a, b) for a, b in zip(one, fd))
 
 
+#: every query entry that takes a bidder, as (rows per query, call(mech, bidder))
+BIDDER_ENTRIES = {
+    "evaluate_misreports": (2, lambda mech, b: ra.evaluate_misreports(
+        mech, PROFILE_2X2, b, ROWS_2X2)),
+    "fd_gradient_rows": (2, lambda mech, b: fd_gradient_rows(mech, PROFILE_2X2, b, ROWS_2X2)),
+    "utility_and_gradient_many": (2, lambda mech, b: mech.utility_and_gradient_many(
+        [PROFILE_2X2] * 2, b, PROFILE_2X2[1])),
+    "utility": (1, lambda mech, b: ra.utility(mech, PROFILE_2X2[1], PROFILE_2X2, b)),
+    "utility_gradient": (1, lambda mech, b: ra.utility_gradient(
+        mech, PROFILE_2X2[1], PROFILE_2X2, b)),
+}
+
+
+def _parts(result):
+    """The arrays an entry returns: utilities, gradients or both."""
+    return result if isinstance(result, tuple) else (result,)
+
+
+def _same(a, b):
+    return all(np.array_equal(x, y) for x, y in zip(_parts(a), _parts(b), strict=True))
+
+
+@pytest.mark.parametrize("kind", sorted(GRADIENT_MECHANISMS))
+@pytest.mark.parametrize("entry", BIDDER_ENTRIES)
+class TestBidderForms:
+    """One check of every bidder form, for an int and for one bidder per row."""
+
+    def test_integer_scalars_match_their_int(self, kind, entry):
+        rows, call = BIDDER_ENTRIES[entry]
+        mech = GRADIENT_MECHANISMS[kind](ra.AuctionSetting(2, 2))
+        want = call(mech, 1)
+        cost = mech.evaluations
+        # a single-cell entry takes one integer bidder, not a 0-d array
+        forms = [np.int64(1), np.uint8(1)] + ([] if entry == "utility" else [np.array(1)])
+        for form in forms:
+            before = mech.evaluations
+            assert _same(call(mech, form), want), form
+            assert mech.evaluations - before == cost
+
+    @pytest.mark.parametrize("bidder", [True, np.True_, 1.0, -1, 2, 2**70, "0", None],
+                             ids=repr)
+    def test_other_scalars_rejected_before_any_evaluation(self, kind, entry, bidder):
+        mech = GRADIENT_MECHANISMS[kind](ra.AuctionSetting(2, 2))
+        with pytest.raises(ra.InvalidInputError, match="out of range for n=2"):
+            BIDDER_ENTRIES[entry][1](mech, bidder)
+        assert mech.evaluations == 0
+
+    def test_per_row_bidders_follow_the_shape_rule(self, kind, entry):
+        rows, call = BIDDER_ENTRIES[entry]
+        mech = GRADIENT_MECHANISMS[kind](ra.AuctionSetting(2, 2))
+        for wrong in ([1] * (rows + 1), np.ones((1, rows), dtype=int)):
+            with pytest.raises(ra.InvalidInputError, match="bidder shape .* one per row"):
+                call(mech, wrong)
+        assert mech.evaluations == 0
+        if entry == "utility":
+            return  # a one-element list is refused (tests/test_estimators.py)
+        by_bidder = [call(mech, 0), call(mech, 1)]
+        for per_row in ([1] * rows, np.full(rows, 1, dtype=np.uint8)):
+            assert _same(call(mech, per_row), by_bidder[1])
+        if rows > 1:
+            mixed = np.arange(rows) % 2  # row i for bidder i mod 2
+            got = _parts(call(mech, mixed))
+            for i, b in enumerate(mixed):
+                assert all(np.array_equal(g[i], w[i]) for g, w in zip(got, _parts(by_bidder[b])))
+
+
 class ZeroNeural(ra.NeuralMechanism):
     """A neural mechanism whose replaced ``_run_batch`` allocates nothing and
     charges nothing: every utility, and so the true regret, is 0."""
@@ -403,6 +469,13 @@ class TestNeuralSpec:
         for bad, match in cases:
             with pytest.raises(ra.MechanismLoadError, match=match):
                 ra.mechanisms.spec_from_dict(bad)
+
+    def test_numpy_integers_write_as_python_integers(self, tmp_path):
+        # the spec file used to stop at a raw TypeError after 49 bytes
+        for i, to in enumerate((int, np.int64)):
+            spec = ra.generate_neural_spec(ra.AuctionSetting(to(2), 2), to(4), 0)
+            ra.write_neural_spec(spec, tmp_path / f"spec{i}.json")
+        assert (tmp_path / "spec1.json").read_bytes() == (tmp_path / "spec0.json").read_bytes()
 
     def test_unknown_format_version_rejected(self, setting_2x2, tmp_path):
         spec = ra.generate_neural_spec(setting_2x2, 16, 42)

@@ -61,6 +61,13 @@ class TestConfigs:
         with pytest.raises(ra.InvalidInputError, match="must be an integer"):
             ra.PortfolioConfig(k=1.5)
 
+    @pytest.mark.parametrize("big_l", [2, 50])
+    def test_portfolio_refine_takes_one_start(self, big_l):
+        # the portfolio supplies the starts, so any big_l used to audit as 1
+        with pytest.raises(ra.InvalidInputError, match="refine.big_l must be 1"):
+            ra.PortfolioConfig(refine=ra.PgaConfig(0.1, big_l, 200))
+        assert ra.PortfolioConfig(refine=ra.PgaConfig(0.1, 1, 200)).refine.big_l == 1
+
 
 class TestPgaSingle:
     def test_constant_mechanism_stays_at_start(self):

@@ -4,7 +4,8 @@ grid refinement, the exact bound chain, chunk invariance of the grid scans,
 the built-in auctions' direct misreport utilities against the default path
 and the closed-form grid regret, the one-call finite-difference gradient
 against separately evaluated probes, the feature-major neural kernel against a
-batch-major reference, and report reading under mutation."""
+batch-major reference, report reading under mutation, and the search's
+tie-break among equal best utilities."""
 
 import copy
 import json
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 import regret_audit as ra
 from regret_audit import estimators
-from regret_audit.optimizer import _ascend
+from regret_audit.optimizer import _ascend, _best_candidate
 from regret_audit.report import report_to_dict
 
 from conftest import ConstantMechanism, NanAboveAuction, uniform_profile
@@ -433,3 +434,27 @@ def test_mutated_report_is_rejected_or_equal(path, mutation, tmp_path):
     except ra.ReportFormatError:
         return
     assert report_to_dict(loaded) == GOLDEN_REPORT
+
+
+@st.composite
+def candidate_sets(draw):
+    """Best utilities and rows drawn from a few values, so that utilities and
+    rows tie often; a lone maximum is drawn as well."""
+    size, m = draw(st.integers(1, 12)), draw(st.integers(1, 3))
+    utils = draw(st.lists(st.sampled_from([-1.0, 0.0, 0.25]), min_size=size, max_size=size))
+    rows = draw(st.lists(st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=m, max_size=m),
+                         min_size=size, max_size=size))
+    return np.array(utils), np.array(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=candidate_sets())
+@example(case=(np.array([0.0, 0.25, 0.0]), np.array([[0.0], [1.0], [0.5]])))
+def test_best_candidate_is_the_lexicographically_smallest_maximum(case):
+    utils, rows = case
+    top = [i for i in range(len(utils)) if utils[i] == utils.max()]
+    smallest = min(tuple(rows[i]) for i in top)
+    win = _best_candidate(utils, rows)
+    assert win in top and tuple(rows[win]) == smallest
+    # equal rows among the maxima: the first of them wins
+    assert win == min(i for i in top if tuple(rows[i]) == smallest)
