@@ -111,7 +111,8 @@ class Mechanism:
 
     Instances are immutable after construction and may be evaluated from many
     workers at once; the evaluation counter is the only mutable state and is
-    incremented under a lock, by exactly one per evaluated profile.
+    incremented under a lock, by exactly one per evaluated profile and by the
+    evaluations an ascent row skips once it retires (see ``evaluations``).
 
     A subclass implements ``_run_batch``, and may override ``_gradient_batch``
     with an analytic gradient and ``_misreport_utilities`` with a direct
@@ -141,7 +142,10 @@ class Mechanism:
 
     @property
     def evaluations(self) -> int:
-        """Total profiles evaluated so far (gradient passes included)."""
+        """Evaluations charged so far: one per evaluated profile, gradient
+        passes included, plus every evaluation an ascent row skips after it
+        retires at a fixed point (``optimizer._ascend``). A charged count,
+        so it can exceed the profiles the mechanism actually evaluated."""
         return self._evals
 
     def _charge(self, count: int) -> None:
@@ -546,5 +550,6 @@ def utility_gradient(mech: Mechanism, valuation_row, bids, bidder: int) -> np.nd
     """Gradient of the bidder's utility w.r.t. its own bid row: analytic where
     the mechanism overrides ``_gradient_batch``, else central finite
     differences with step 1e-5 and boundary clamping."""
-    _, grad = mech.utility_and_gradient_many([bids], bidder, valuation_row)
-    return grad[0]
+    profile, _, v = check_query(mech.setting, [bids], bidder, valuation_row=valuation_row)
+    check_int(bidder, "bidder", 0)  # one bidder, not one per row of the stack [bids]
+    return mech._gradient_batch(profile, bidder, v)[1][0]

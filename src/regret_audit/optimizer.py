@@ -3,11 +3,13 @@ item-wise guided refinement built on a structured initialization portfolio.
 
 Ascent projects onto the bid box by coordinate clamping and tracks the best
 utility over every visited iterate (including the start), so a candidate can
-never end below where it began. Candidates are independent, so the
-candidates of many (sample, bidder) searches climb together, one mechanism
-call per step; each search then finishes alone, with a deterministic max and
-a lexicographic tie-break on the misreport vector. Any grouping of searches,
-in one batch or across workers, agrees with the serial result bitwise.
+never end below where it began. A candidate whose step leaves it in place has
+reached a fixed point and drops out of the later mechanism calls. Candidates
+are independent, so the candidates of many (sample, bidder) searches climb
+together, one mechanism call per step; each search then finishes alone, with
+a deterministic max and a lexicographic tie-break on the misreport vector.
+Any grouping of searches, in one batch or across workers, agrees with the
+serial result bitwise.
 """
 
 from __future__ import annotations
@@ -118,29 +120,67 @@ def _ascend(mech: Mechanism, profiles: np.ndarray, bidders: np.ndarray, starts: 
     bits. Tracks the best utility over all visited iterates per row. A
     non-finite gradient freezes its row in place; the best iterate seen so
     far is kept. Returns (best_rows, best_utils, frozen), one entry per row.
+
+    A row whose step leaves its iterate bitwise unchanged, a frozen row
+    among them, sits at a fixed point: a deterministic, row-independent
+    mechanism gives it the same step at every later step, so it can never
+    improve again. It retires, later calls carry only the rows still moving,
+    and the loop ends when none is left. A row retired at step s is charged
+    the (steps - s)c + 1 evaluations it skips, c being the per-row charge of
+    the first gradient call, so every row costs steps*c + 1 whether it
+    retires or not. A call that charges other than c per row (1 per row for
+    the final utilities call) is an InvalidInputError naming the ascent's
+    total charge and row count.
     """
     x = np.clip(np.asarray(starts, dtype=np.float64), 0.0, 1.0).copy()
-    v = profiles[np.arange(x.shape[0]), bidders]
+    size = x.shape[0]
+    v = profiles[np.arange(size), bidders]
+    out_x, out_u, out_frozen = np.empty_like(x), np.empty(size), np.empty(size, dtype=bool)
+    rows = np.arange(size)  # each active row's index in the returned arrays
 
-    def evaluate(rows, last):
-        """Utilities of the rows, and their gradients unless no step follows."""
+    def evaluate(last):
+        """Utilities of the active rows, their gradients unless no step
+        follows, and the call's charge."""
+        before = mech.evaluations
         if last:
-            return mech._misreport_utilities(profiles, bidders, rows, v), None
-        return mech.utility_and_gradient_many(
-            rows_to_profiles(profiles, bidders, rows), bidders, v)
+            u, g = mech._misreport_utilities(profiles, bidders, x, v), None
+        else:
+            u, g = mech.utility_and_gradient_many(rows_to_profiles(profiles, bidders, x),
+                                                  bidders, v)
+        return u, g, mech.evaluations - before
 
-    u, g = evaluate(x, steps == 0)
+    evals0 = mech.evaluations
+    u, g, charged = evaluate(steps == 0)
+    per_row, rest = divmod(charged, size)
+    even = not rest and (steps > 0 or per_row == 1)
     best_u, best_x = u.copy(), x.copy()
-    frozen = np.zeros(x.shape[0], dtype=bool)
+    frozen = np.zeros(size, dtype=bool)
     for step in range(1, steps + 1):
         frozen |= ~np.isfinite(g).all(axis=1)
         g[frozen] = 0.0
-        x = np.clip(x + gamma * g, 0.0, 1.0)
-        u, g = evaluate(x, step == steps)
+        x_new = np.clip(x + gamma * g, 0.0, 1.0)
+        moving = (x_new.view(np.int64) != x.view(np.int64)).any(axis=1)
+        if not moving.all():
+            done = ~moving
+            out_x[rows[done]], out_u[rows[done]], out_frozen[rows[done]] = \
+                best_x[done], best_u[done], frozen[done]
+            mech._charge(int(done.sum()) * ((steps - step) * per_row + 1))
+            rows, x_new, profiles, bidders, v, best_u, best_x, frozen = (
+                a[moving] for a in (rows, x_new, profiles, bidders, v, best_u, best_x, frozen))
+            if not rows.size:
+                break
+        x = x_new
+        last = step == steps
+        u, g, charged = evaluate(last)
+        even &= charged == len(x) * (1 if last else per_row)
         improved = u > best_u
         best_u = np.where(improved, u, best_u)
         best_x[improved] = x[improved]
-    return best_x, best_u, frozen
+    out_x[rows], out_u[rows], out_frozen[rows] = best_x, best_u, frozen
+    if not even:
+        raise InvalidInputError(f"mechanism charged {mech.evaluations - evals0} evaluations "
+                                f"for {size} lockstep rows, not the same for each row")
+    return out_x, out_u, out_frozen
 
 
 @dataclass
@@ -209,8 +249,9 @@ def _climb(mech: Mechanism, searches: Sequence[_Search],
     """One lockstep batch of ``run_searches``.
 
     Rows climb in groups of at most ``_SCAN_CHUNK``, one mechanism call per
-    group and step; every row costs the same, so the batch's evaluations and
-    seconds are charged to the searches by their number of rows.
+    group and step while any of its rows still moves. Every row is charged
+    the same evaluations, retired or not, so the batch's evaluations, and its
+    seconds with them, are split among the searches by their number of rows.
     """
     sizes = [len(s.starts) for s in searches]
     owner = np.repeat(np.arange(len(searches)), sizes)
@@ -222,10 +263,7 @@ def _climb(mech: Mechanism, searches: Sequence[_Search],
     best_rows, best_utils, frozen = map(np.concatenate, zip(*(
         _ascend(mech, profiles[owner[g]], bidders[owner[g]], starts[g], ascent.gamma, ascent.big_r)
         for g in groups)))
-    evals_per_row, rest = divmod(mech.evaluations - evals0, len(starts))
-    if rest:
-        raise InvalidInputError(f"mechanism charged {mech.evaluations - evals0} evaluations "
-                                f"for {len(starts)} lockstep rows, not the same for each row")
+    evals_per_row = (mech.evaluations - evals0) // len(starts)  # _ascend charges rows evenly
     seconds_per_row = (time.perf_counter() - t0) / len(starts)
     cuts = np.cumsum(sizes)[:-1]
     return [_finish(s, rows, utils, flags, evals_per_row * len(rows), seconds_per_row * len(rows),

@@ -389,6 +389,18 @@ class UnevenChargeMechanism(ShadedQuadraticMechanism):
         return (v * own - own * own / 4).sum(axis=1) / n, (v - own / 2) / n
 
 
+class FlatUnevenChargeMechanism(UnevenChargeMechanism):
+    """The uneven charge with a zero gradient: every ascent row sits at a
+    fixed point from its start and retires at step 1."""
+
+    gradient_calls = 0
+
+    def _gradient_batch(self, batch, bidder, v):
+        self.gradient_calls += 1
+        u, g = super()._gradient_batch(batch, bidder, v)
+        return u, np.zeros_like(g)
+
+
 class TestGradientHook:
     def test_uneven_charging_is_a_typed_error(self, monkeypatch):
         # used to fail a bare assert, which python -O strips, leaving divmod to
@@ -403,6 +415,23 @@ class TestGradientHook:
                         pga=ra.PgaConfig(0.1, 3, 5))
         with pytest.raises(ra.InvalidInputError,
                            match="charged 17 evaluations for 12 lockstep rows"):
+            ra.run_audit(cfg, workers=1)
+
+    def test_uneven_charging_raises_when_every_row_retires_at_step_1(self, monkeypatch):
+        # one gradient call of 1 for 3 rows, after which every row retires and
+        # is charged its skipped final utilities: 1 + 3; the check reads each
+        # call, so an ascent that ends at its first step is checked too
+        mech = FlatUnevenChargeMechanism(ra.AuctionSetting(2, 2))
+        with pytest.raises(ra.InvalidInputError,
+                           match="charged 4 evaluations for 3 lockstep rows"):
+            ra.random_restart_pga(mech, [[0.3, 0.4], [0.2, 0.5]], 0, ra.PgaConfig(0.1, 3, 5), 1)
+        assert mech.gradient_calls == 1
+        monkeypatch.setitem(ra.mechanisms.BUILTIN_MECHANISMS, "flat_uneven",
+                            FlatUnevenChargeMechanism)
+        cfg = small_cfg(mechanism="flat_uneven", methods=("pga",), samples=2,
+                        pga=ra.PgaConfig(0.1, 3, 5))
+        with pytest.raises(ra.InvalidInputError,
+                           match="charged 13 evaluations for 12 lockstep rows"):
             ra.run_audit(cfg, workers=1)
 
     def test_custom_hook_drives_both_ascents(self, monkeypatch):
@@ -422,6 +451,30 @@ class TestGradientHook:
         for rec in report.records:
             assert rec.estimate.mech_evals == expected[rec.estimate.method]
         assert report.method_means["pga"] > 0.0 and report.method_means["guided"] > 0.0
+
+
+class TestRetiredRows:
+    def test_fixed_point_rows_skip_their_calls_but_not_their_charge(self, monkeypatch):
+        # every second-price ascent row sits at a fixed point from its start:
+        # each pays the 2m+1 rows of its first finite-difference gradient and
+        # retires at step 1, but is charged all R steps and the final utilities
+        setting, big_l, big_r, samples = ra.AuctionSetting(2, 2), 10, 100, 40
+        executed = []
+        hook = ra.SecondPriceAuction._misreport_utilities
+
+        def counted(self, profile, bidder, rows, v):
+            executed.append(len(rows))
+            return hook(self, profile, bidder, rows, v)
+
+        monkeypatch.setattr(ra.SecondPriceAuction, "_misreport_utilities", counted)
+        report = ra.run_audit(small_cfg(mechanism="second_price", methods=("pga",),
+                                        pga=ra.PgaConfig(0.1, big_l, big_r), samples=samples,
+                                        seed=601), workers=1)
+        cells, m = samples * setting.n, setting.m
+        assert sum(executed) == cells * (1 + big_l * (2 * m + 1)) == 4080
+        assert report.total_mech_evals == cells * (1 + big_l * (big_r * (2 * m + 1) + 1)) \
+            == 400880
+        assert report.method_means["pga"] == 0.0
 
 
 class TestLockstepMemory:

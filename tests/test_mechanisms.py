@@ -341,6 +341,9 @@ BIDDER_ENTRIES = {
         mech, PROFILE_2X2[1], PROFILE_2X2, b)),
 }
 
+#: the entries of one profile and one bidder, which take an integer bidder only
+SINGLE_CELL = ("utility", "utility_gradient")
+
 
 def _parts(result):
     """The arrays an entry returns: utilities, gradients or both."""
@@ -362,7 +365,7 @@ class TestBidderForms:
         want = call(mech, 1)
         cost = mech.evaluations
         # a single-cell entry takes one integer bidder, not a 0-d array
-        forms = [np.int64(1), np.uint8(1)] + ([] if entry == "utility" else [np.array(1)])
+        forms = [np.int64(1), np.uint8(1)] + ([] if entry in SINGLE_CELL else [np.array(1)])
         for form in forms:
             before = mech.evaluations
             assert _same(call(mech, form), want), form
@@ -383,8 +386,8 @@ class TestBidderForms:
             with pytest.raises(ra.InvalidInputError, match="bidder shape .* one per row"):
                 call(mech, wrong)
         assert mech.evaluations == 0
-        if entry == "utility":
-            return  # a one-element list is refused (tests/test_estimators.py)
+        if entry in SINGLE_CELL:
+            return  # one bidder per row is refused (test_single_cell_entries_refuse_arrays)
         by_bidder = [call(mech, 0), call(mech, 1)]
         for per_row in ([1] * rows, np.full(rows, 1, dtype=np.uint8)):
             assert _same(call(mech, per_row), by_bidder[1])
@@ -393,6 +396,16 @@ class TestBidderForms:
             got = _parts(call(mech, mixed))
             for i, b in enumerate(mixed):
                 assert all(np.array_equal(g[i], w[i]) for g, w in zip(got, _parts(by_bidder[b])))
+
+    @pytest.mark.parametrize("bidder", [np.array(0), np.array([0])], ids=repr)
+    def test_single_cell_entries_refuse_arrays(self, kind, entry, bidder):
+        # utility_gradient used to take both forms, where utility refused them
+        if entry not in SINGLE_CELL:
+            return
+        mech = GRADIENT_MECHANISMS[kind](ra.AuctionSetting(2, 2))
+        with pytest.raises(ra.InvalidInputError, match="bidder must be an integer"):
+            BIDDER_ENTRIES[entry][1](mech, bidder)
+        assert mech.evaluations == 0
 
 
 class ZeroNeural(ra.NeuralMechanism):
