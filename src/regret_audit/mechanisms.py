@@ -267,12 +267,33 @@ BUILTIN_MECHANISMS = {
 }
 
 
+#: the largest (K+1)·O·B buffer that ``_affine`` reduces in one call; above it the
+#: per-feature loop is mostly faster. A sweep over the neural layers' (K, O) shapes
+#: (4, 16), (16, 8), (6, 16), (16, 2) and (30, 30), B from 1 to 4096, on a 2-core
+#: Xeon with 2 MB of L2: up to 6.5e4 elements the reduce took 0.11-0.92 of the
+#: loop's time, from 8e4 on 0.89-1.9 and 4.7 at 3.8e6. In us, loop -> reduce: (16, 8)
+#: at B=48 29 -> 12, (4, 16) at B=48 11.4 -> 8.3 and at B=4096 145 -> 269.
+_AFFINE_REDUCE_MAX = 1 << 16
+
+
 def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     # out[j] = b[j] + sum_k w[k, j] * x[k], feature-major: x (K, B), b (O, 1), w (K, O, 1)
     # or (K, O, B) per column. Adding in increasing k instead of a BLAS matmul keeps
     # each column bitwise independent of the batch, which the exact-equality
-    # invariants (restart nesting, guided >= lower bound) rely on.
-    out = np.repeat(b, x.shape[1], axis=1)
+    # invariants (restart nesting, guided >= lower bound) rely on. Small batches
+    # stack b and the K products into one (K+1, O, B) buffer and reduce its outer
+    # axis, which numpy does by in-order accumulation: the loop's bits, in three
+    # calls. The reduce starts from -0.0, not its default 0.0, which would turn a
+    # -0.0 bias into 0.0. When O·B == 1 numpy collapses the buffer to the reduced
+    # axis and sums it pairwise (different bits from eight terms on), so that case
+    # keeps the loop.
+    (K, B), O = x.shape, b.shape[0]
+    if O * B != 1 and (K + 1) * O * B <= _AFFINE_REDUCE_MAX:
+        terms = np.empty((K + 1, O, B))
+        terms[0] = b
+        np.multiply(w, x[:, None, :], out=terms[1:])
+        return np.add.reduce(terms, axis=0, initial=-0.0)
+    out = np.repeat(b, B, axis=1)
     term = np.empty_like(out)
     for w_k, x_k in zip(w, x):
         np.multiply(w_k, x_k, out=term)
@@ -426,6 +447,9 @@ class NeuralMechanism(Mechanism):
         self._b_out = np.concatenate([spec.bias_alloc, spec.bias_pay])[:, None]
         # (hidden, m, n): the input weights of each bidder's own bid row
         self._w_in_own = spec.weights_in.reshape(n, m, h).transpose(2, 1, 0).copy()
+        # the backward pass adds 0.0 first, as the forward adds its bias: it turns a
+        # leading -0.0 product into 0.0, as a batch-major sum from zeros does
+        self._zero_h, self._zero_m = np.zeros((h, 1)), np.zeros((m, 1))
 
     def _forward(self, batch):
         B = batch.shape[0]
@@ -470,10 +494,10 @@ class NeuralMechanism(Mechanism):
 
         cols = np.reshape(bidder, -1)  # each row's bidder: one column, or one per row
         r_h = _affine(d_scores.reshape((n + 1) * m, B),
-                      self.spec.weights_alloc.T[:, :, None], np.zeros((h.shape[0], 1)))
+                      self.spec.weights_alloc.T[:, :, None], self._zero_h)
         r_h += self.spec.weights_pay[:, cols] * dudz
         t = (1.0 - h * h) * r_h
-        grad = np.ascontiguousarray(_affine(t, self._w_in_own[:, :, cols], np.zeros((m, 1))).T)
+        grad = np.ascontiguousarray(_affine(t, self._w_in_own[:, :, cols], self._zero_m).T)
         grad -= sig_b[:, None] * gb
         return u, grad
 

@@ -1,8 +1,9 @@
 """Source hygiene: every name a package module imports is used there, no
-package module asserts, every name the benchmark tracer binds exists, every
-number a config type, record type or entry takes goes through ``check_int``
-or ``check_float``, every field of a package type has its type checked, and
-every typed error that no other test reaches is raised where it should be."""
+package module asserts or computes with BLAS, every name the benchmark tracer
+binds exists, every number a config type, record type or entry takes goes
+through ``check_int`` or ``check_float``, every field of a package type has
+its type checked, and every typed error that no other test reaches is raised
+where it should be."""
 
 import ast
 import dataclasses
@@ -56,6 +57,42 @@ def test_no_module_asserts():
                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
                if isinstance(node, ast.Assert)]
     assert asserts == []
+
+
+#: numpy's BLAS-backed products; ``@`` is the operator form of matmul
+BLAS_CALLS = {"dot", "vdot", "matmul", "einsum", "tensordot", "inner"}
+
+
+def blas_uses(source: str):
+    """Lines of ``source`` that compute with ``@`` or call a BLAS product, as a
+    function (``np.dot``, an imported ``dot``) or a method (``x.dot``)."""
+    uses = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            uses.append((node.lineno, "@"))
+        elif isinstance(node, ast.Call):
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if name in BLAS_CALLS:
+                uses.append((node.lineno, name))
+    return sorted(uses)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_computes_with_blas(path):
+    # a BLAS product may block and round by the batch's size and alignment, so
+    # a row's bits would follow its batch: restart nesting and reports equal
+    # across worker counts rest on in-order sums
+    assert blas_uses(path.read_text(encoding="utf-8")) == []
+
+
+def test_check_sees_blas_products_and_not_notation():
+    source = ('"""h = tanh(x @ W + b)"""\n'
+              "y = a @ b\n"
+              "y @= b\n"
+              "z = np.dot(a, b) + a.dot(b)\n"
+              "from numpy import einsum\n"
+              "w = einsum('ij,jk', a, b) + np.multiply(a, b)\n")
+    assert blas_uses(source) == [(2, "@"), (3, "@"), (4, "dot"), (4, "dot"), (6, "einsum")]
 
 
 def marked_imports(source: str):

@@ -4,8 +4,9 @@ across worker counts, restart nesting, monotone grid refinement, the exact
 bound chain, chunk invariance of the grid scans,
 the built-in auctions' direct misreport utilities against the default path
 and the closed-form grid regret, the one-call finite-difference gradient
-against separately evaluated probes, the feature-major neural kernel against a
-batch-major reference, report reading under mutation, and the search's
+against separately evaluated probes, the neural affine layer against its
+in-order loop, the feature-major neural kernel against a batch-major
+reference, report reading under mutation, and the search's
 tie-break among equal best utilities."""
 
 import copy
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 
 import regret_audit as ra
 from regret_audit import estimators
+from regret_audit.mechanisms import _AFFINE_REDUCE_MAX, _affine
 from regret_audit.optimizer import _ascend, _best_candidate
 from regret_audit.report import report_to_dict
 
@@ -374,6 +376,60 @@ def test_run_batch_override_falls_back_to_run_many(name, expected):
     assert utils.tolist() == expected
 
 
+def _loop_affine(x, w, b):
+    """``_affine`` as a loop over the K features: b, then each product in order."""
+    out = np.repeat(b, x.shape[1], axis=1)
+    term = np.empty_like(out)
+    for w_k, x_k in zip(w, x):
+        np.multiply(w_k, x_k, out=term)
+        out += term
+    return out
+
+
+def _signed(g, shape):
+    """Normal draws over twelve decades, so that the order of the additions
+    shows in the bits, with some entries 0.0 and some -0.0."""
+    a = g.standard_normal(shape) * 10.0 ** g.integers(-6, 7, shape)
+    a[g.random(shape) < 0.1] = 0.0
+    a[g.random(shape) < 0.1] = -0.0
+    return a
+
+
+@st.composite
+def affine_cases(draw):
+    """(K, O, B, per-row weights, seed)."""
+    return (draw(st.integers(0, 20)), draw(st.integers(1, 12)), draw(st.integers(0, 40)),
+            draw(st.booleans()), draw(st.integers(0, 2**31 - 1)))
+
+
+#: a batch of K + 1 = 8 terms with O = 1 fills the cutoff at B = CUT
+CUT = _AFFINE_REDUCE_MAX // 8
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=affine_cases())
+@example(case=(5, 3, 0, False, 1))
+@example(case=(5, 3, 1, True, 2))
+# a -0.0 bias and no terms: numpy's add.reduce starts from 0.0 by default
+@example(case=(0, 1, 2, False, 0))
+# O·B == 1 with K + 1 >= 8 terms: numpy would sum the terms pairwise
+@example(case=(12, 1, 1, False, 3))
+@example(case=(7, 1, 1, True, 4))
+# the neural 2x2 h16 output layer on each side of the cutoff, and per-row weights above it
+@example(case=(16, 8, 48, False, 5))
+@example(case=(16, 8, 1001, False, 6))
+@example(case=(16, 2, 4096, True, 7))
+@example(case=(7, 1, CUT - 1, False, 8))
+@example(case=(7, 1, CUT, True, 9))
+@example(case=(7, 1, CUT + 1, False, 10))
+def test_affine_bitwise_equal_in_order_loop(case):
+    K, O, B, per_row, seed = case
+    g = np.random.default_rng(seed)
+    x, w, b = _signed(g, (K, B)), _signed(g, (K, O, B if per_row else 1)), _signed(g, (O, 1))
+    got, want = _affine(x, w, b), _loop_affine(x, w, b)
+    assert got.shape == want.shape == (O, B) and got.tobytes() == want.tobytes()
+
+
 def _batch_major_affine(x, w, b):
     out = np.tile(b, (x.shape[0], 1))
     for k in range(w.shape[0]):
@@ -440,6 +496,10 @@ def kernel_cases(draw):
 @example(case=(3, 10, 5, 48, 4, False, True))
 # one item and n + 1 >= 8 outcomes: the softmax total is a pairwise sum too
 @example(case=(8, 1, 6, 48, 5, True, True))
+# hidden width 1 and one row: the input layer's 8 + 1 terms reach a single output
+@example(case=(2, 4, 1, 1, 6, False, False))
+# at B = 1001 the output layer's buffer is above the reduce cutoff, the others below
+@example(case=(4, 10, 1, 1001, 7, True, True))
 def test_neural_kernel_bitwise_equal_batch_major(case):
     n, m, width, B, seed, per_row_bidder, per_row_v = case
     spec = ra.generate_neural_spec(ra.AuctionSetting(n, m), width, seed)
