@@ -13,11 +13,11 @@ Four estimators share one discretization of the bid interval:
 
 A scan whose best gain is not strictly positive reports exactly 0 at the
 truthful row (``_clamp_gain``), so every estimate is nonnegative. A truthful
-row off the grid is evaluated and charged once more, so that the counts
-match the cost formulas; that evaluation's result is unused. Each estimator
-reports the mechanism evaluations (by the mechanism's counter) and seconds
-it consumed. The per-item estimators read both, in full, off one ``ItemScan``,
-which a caller already holding it passes as ``scan=``.
+row off the grid fills a scan slot that the cost formulas count and no
+estimate reads, so it is charged, not run (``Mechanism.evaluations``). Each
+estimator reports the mechanism evaluations (by the mechanism's counter) and
+seconds it consumed. The per-item estimators read both, in full, off one
+``ItemScan``, which a caller already holding it passes as ``scan=``.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BudgetExceededError, InvalidInputError, check_float, check_int
+from .errors import BudgetExceededError, InvalidInputError, check_float, check_int, check_type
 from .mechanisms import Mechanism, as_floats, check_query
 
 DEFAULT_EVAL_BUDGET = 10**8
@@ -158,12 +158,10 @@ def _grid_best(mech: Mechanism, profile: np.ndarray, bidder: int, base: float, a
     of ``axes`` (one array of points per coordinate), with its row.
 
     Rows are scanned in lexicographic order, at most ``_SCAN_CHUNK`` at a
-    time, and the first maximum wins. Each chunk tiles whole copies of one
-    trailing block, the product of the last axes that fits in a chunk, under
-    its leading coordinates. The truthful row, when not in the product, is
-    evaluated and charged once more, so that the counts match the cost
-    formulas; the result is unused, and ``_clamp_gain`` gives the floor of 0.
-    A non-finite utility raises InvalidInputError: a NaN would otherwise drop
+    time, and the first maximum wins; ``_clamp_gain`` gives the floor of 0.
+    Each chunk tiles whole copies of one trailing block, the product of the
+    last axes that fits in a chunk, under its leading coordinates. A
+    non-finite utility raises InvalidInputError: a NaN would otherwise drop
     out of the argmax and leave a false 0.0. The estimator checked the profile
     and bidder once (``_prepare``), and grid rows lie in [0, 1], so the chunks
     go to the mechanism's hook unchecked.
@@ -190,8 +188,6 @@ def _grid_best(mech: Mechanism, profile: np.ndarray, bidder: int, base: float, a
         i = int(np.argmax(gains))
         if gains[i] > best_gain:
             best_gain, best_row = float(gains[i]), rows[i].copy()
-    if not all((axis == t).any() for t, axis in zip(truthful, axes)):
-        mech._misreport_utilities(profile, bidder, truthful[None, :], truthful)
     return _clamp_gain(best_gain, best_row, truthful)
 
 
@@ -200,6 +196,7 @@ def _check_budget(max_evals: int, m: int, grid: GridSpec, exhaustive: bool = Fal
     ``max_evals``: the truthful evaluation, and per grid scan its rows and an
     off-grid truthful row; (q+1)^m + 2 exhaustive, m(q+2)+1 item-wise."""
     check_int(max_evals, "max_evals", 1)
+    check_type(grid, "grid", GridSpec)
     required = grid.size ** m + 2 if exhaustive else m * (grid.size + 1) + 1
     if required > max_evals:
         raise BudgetExceededError(required=required, budget=max_evals)
@@ -208,11 +205,11 @@ def _check_budget(max_evals: int, m: int, grid: GridSpec, exhaustive: bool = Fal
 def _scan_all_items(mech: Mechanism, profile, bidder: int, grid: GridSpec,
                     max_evals: int = DEFAULT_EVAL_BUDGET) -> ItemScan:
     """Scan each item's coordinate over the grid, others truthful: one
-    truthful evaluation, then q+1 rows per item plus one more per off-grid
-    truthful coordinate, evaluated and charged so that the counts match the
-    cost formulas (``_clamp_gain`` gives each item's floor of 0). The budget
-    is charged that worst case, m(q+2)+1 on the inclusive grid."""
+    truthful evaluation, then q+1 rows per item plus one per off-grid truthful
+    coordinate, charged, not run; ``_clamp_gain`` floors each item's gain at
+    0. The budget is charged that worst case, m(q+2)+1 on the inclusive grid."""
     t0 = time.perf_counter()
+    check_type(mech, "mech", Mechanism)
     m = mech.setting.m
     _check_budget(max_evals, m, grid)
     pts = grid.points
@@ -224,6 +221,7 @@ def _scan_all_items(mech: Mechanism, profile, bidder: int, grid: GridSpec,
         axes = [pts if k == j else truthful[k:k + 1] for k in range(m)]
         gains[j], row = _grid_best(mech, profile, bidder, base, axes)
         coords[j] = row[j]
+    mech._charge(sum(not (pts == t).any() for t in truthful))
     return ItemScan(truthful.copy(), base, gains, coords, mech.evaluations - evals0,
                     time.perf_counter() - t0)
 
@@ -238,12 +236,14 @@ def exhaustive_regret(mech: Mechanism, profile, bidder: int, grid: GridSpec,
     is charged the worst case, (q+1)^m + 2 (see ``_check_budget``).
     """
     t0 = time.perf_counter()
+    check_type(mech, "mech", Mechanism)
     m = mech.setting.m
     _check_budget(max_evals, m, grid, exhaustive=True)
     pts = grid.points
     evals0 = mech.evaluations
     profile, base = _prepare(mech, profile, bidder)
     value, best_row = _grid_best(mech, profile, bidder, base, [pts] * m)
+    mech._charge(int(not all((pts == t).any() for t in profile[bidder])))
     return RegretEstimate(METHOD_EXHAUSTIVE, bidder, value, best_row,
                           mech.evaluations - evals0, time.perf_counter() - t0)
 
@@ -251,6 +251,7 @@ def exhaustive_regret(mech: Mechanism, profile, bidder: int, grid: GridSpec,
 def item_regret(mech: Mechanism, profile, bidder: int, item: int, grid: GridSpec,
                 scan: Optional[ItemScan] = None) -> RegretEstimate:
     """Regret from deviating on a single item, all other coordinates truthful."""
+    check_type(mech, "mech", Mechanism)
     check_int(item, "item", 0)
     if item >= mech.setting.m:
         raise InvalidInputError(f"item {item} out of range for m={mech.setting.m}")

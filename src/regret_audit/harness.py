@@ -165,6 +165,7 @@ class AuditRunConfig:
 def _checked_source(source: MechanismSource, setting: AuctionSetting) -> MechanismSource:
     """The one reading of a mechanism source: a builtin name as given, else
     the spec, read from its path, whose setting matches ``setting``."""
+    check_type(setting, "setting", AuctionSetting, MechanismLoadError)
     if isinstance(source, str):
         if source in BUILTIN_MECHANISMS:
             return source
@@ -278,6 +279,7 @@ def run_audit(cfg: AuditRunConfig, workers: Optional[int] = None) -> AuditReport
     is persisted to ``cfg.out`` when set.
     """
     t0 = time.perf_counter()
+    check_type(cfg, "cfg", AuditRunConfig, InvalidConfigError)
     echo = config_echo(cfg)  # names a spec path, not the spec read from it
     cfg = replace(cfg, mechanism=_checked_source(cfg.mechanism, cfg.setting))
     for method in (name for name in cfg.methods if name != METHOD_PGA):  # before any chunk
@@ -312,6 +314,7 @@ def run_sweep(cfg: AuditRunConfig, l_values: Sequence[int], r_values: Sequence[i
     path is read once) and every cell's config are checked before the first
     cell runs. Returns the sweep rows and optionally writes them as CSV.
     """
+    check_type(cfg, "cfg", AuditRunConfig, InvalidConfigError)
     for name, values in (("l_values", l_values), ("r_values", r_values)):
         check_type(values, name, (list, tuple, range), InvalidConfigError)
         if not values:

@@ -111,8 +111,8 @@ class Mechanism:
 
     Instances are immutable after construction and may be evaluated from many
     workers at once; the evaluation counter is the only mutable state and is
-    incremented under a lock, by exactly one per evaluated profile and by the
-    evaluations an ascent row skips once it retires (see ``evaluations``).
+    incremented under a lock, by exactly one per evaluated profile and by
+    each evaluation charged, not run (see ``evaluations``).
 
     A subclass implements ``_run_batch``, and may override ``_gradient_batch``
     with an analytic gradient and ``_misreport_utilities`` with a direct
@@ -136,6 +136,7 @@ class Mechanism:
                     setattr(cls, hook, getattr(Mechanism, hook))
 
     def __init__(self, setting: AuctionSetting):
+        check_type(setting, "setting", AuctionSetting)
         self.setting = setting
         self._evals = 0
         self._eval_lock = threading.Lock()
@@ -143,12 +144,15 @@ class Mechanism:
     @property
     def evaluations(self) -> int:
         """Evaluations charged so far: one per evaluated profile, gradient
-        passes included, plus every evaluation an ascent row skips after it
-        retires at a fixed point (``optimizer._ascend``). A charged count,
-        so it can exceed the profiles the mechanism actually evaluated."""
+        passes included. One that a cost formula counts but no estimate reads
+        is charged, not run: each an ascent row skips once it retires at a
+        fixed point (``optimizer._ascend``), and a grid scan's off-grid
+        truthful slot (``estimators``). So the count can exceed the profiles
+        the mechanism actually evaluated."""
         return self._evals
 
     def _charge(self, count: int) -> None:
+        """Add ``count`` run or charged evaluations (see ``evaluations``)."""
         with self._eval_lock:
             self._evals += count
 
@@ -360,6 +364,7 @@ def generate_neural_spec(setting: AuctionSetting, hidden_width: int, seed: int) 
     The same seed always yields a bitwise-identical spec; draw order is
     W_in, b_in, W_alloc, b_alloc, W_pay, b_pay.
     """
+    check_type(setting, "setting", AuctionSetting)
     check_int(hidden_width, "hidden_width", 1)
     g = rng.spawn_generator(seed, rng.STREAM_WEIGHTS)
     return NeuralMechanismSpec(setting, hidden_width, **{
@@ -439,6 +444,7 @@ class NeuralMechanism(Mechanism):
     """Fixed-weight feedforward softmax mechanism with analytic gradients."""
 
     def __init__(self, spec: NeuralMechanismSpec):
+        check_type(spec, "spec", NeuralMechanismSpec, MechanismLoadError)
         super().__init__(spec.setting)
         self.spec = spec
         n, m, h = spec.setting.n, spec.setting.m, spec.hidden_width
@@ -522,6 +528,7 @@ def evaluate_misreports(mech: Mechanism, profile: np.ndarray, bidder,
     Costs one mechanism evaluation per candidate row, through the
     mechanism's ``_misreport_utilities``.
     """
+    check_type(mech, "mech", Mechanism)
     profile, rows, v = check_query(mech.setting, profile, bidder, rows, valuation_row)
     return mech._misreport_utilities(profile, bidder, rows, v)
 
@@ -531,6 +538,7 @@ def fd_gradient_rows(mech: Mechanism, profile: np.ndarray, bidder,
     """Central finite-difference utility gradients for a stack of bid rows
     (a query as in ``evaluate_misreports``), at 2m+1 evaluations per row
     (see ``_fd_utilities``)."""
+    check_type(mech, "mech", Mechanism)
     profile, rows, v = check_query(mech.setting, profile, bidder, rows, valuation_row)
     return _fd_utilities(mech, profile, bidder, rows, v)[1]
 
@@ -564,6 +572,7 @@ def _fd_utilities(mech: Mechanism, profile: np.ndarray, bidder, rows: np.ndarray
 
 def utility(mech: Mechanism, valuation_row, bids, bidder: int) -> float:
     """Additive utility: sum_j v_j * g_[bidder,j](bids) - p_[bidder](bids)."""
+    check_type(mech, "mech", Mechanism)
     profile, _, v = check_query(mech.setting, [bids], bidder, valuation_row=valuation_row)
     check_int(bidder, "bidder", 0)  # one bidder, not one per row of the stack [bids]
     alloc, pay = mech.run_many(profile)
@@ -574,6 +583,7 @@ def utility_gradient(mech: Mechanism, valuation_row, bids, bidder: int) -> np.nd
     """Gradient of the bidder's utility w.r.t. its own bid row: analytic where
     the mechanism overrides ``_gradient_batch``, else central finite
     differences with step 1e-5 and boundary clamping."""
+    check_type(mech, "mech", Mechanism)
     profile, _, v = check_query(mech.setting, [bids], bidder, valuation_row=valuation_row)
     check_int(bidder, "bidder", 0)  # one bidder, not one per row of the stack [bids]
     return mech._gradient_batch(profile, bidder, v)[1][0]

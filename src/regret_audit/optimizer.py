@@ -278,6 +278,7 @@ def pga_single(mech: Mechanism, profile, bidder: int, start, gamma: float,
 
     ``best_utility`` is never below the start's utility.
     """
+    check_type(mech, "mech", Mechanism)
     profiles = check_query(mech.setting, [profile], bidder)[0]
     check_int(bidder, "bidder", 0)  # one bidder, not one per row of the stack [profile]
     check_float(gamma, "gamma", positive=True)
@@ -296,6 +297,8 @@ def pga_search(mech: Mechanism, profile, bidder: int, cfg: PgaConfig, seed: int)
     """The first half of ``random_restart_pga``: the truthful utility and the
     L uniform starts, drawn first so that a bad seed costs no evaluation."""
     t0 = time.perf_counter()
+    check_type(mech, "mech", Mechanism)
+    check_type(cfg, "cfg", PgaConfig)
     starts = np.stack([
         rng.spawn_generator(seed, rng.STREAM_CANDIDATE, l).random(mech.setting.m)
         for l in range(cfg.big_l)
@@ -329,6 +332,7 @@ def build_portfolio(profile, bidder: int, item_argmaxes, cfg: PortfolioConfig,
     after drawing (no rejection loops); with k = 0 no random stream is
     consumed, but the seed is checked all the same.
     """
+    check_type(cfg, "cfg", PortfolioConfig)
     check_int(seed, "seed", 0)
     comb = as_floats(item_argmaxes, "item_argmaxes")
     if comb.ndim != 1:
@@ -338,6 +342,7 @@ def build_portfolio(profile, bidder: int, item_argmaxes, cfg: PortfolioConfig,
     profile = as_floats(profile, "profile")
     setting = AuctionSetting(len(profile) if profile.ndim else 0, len(comb))
     truthful = check_query(setting, [profile], bidder)[2][0]
+    check_int(bidder, "bidder", 0)  # one bidder, not one per row of the stack [profile]
     m = len(comb)
 
     single = np.tile(truthful, (m, 1))
@@ -360,6 +365,8 @@ def guided_search(mech: Mechanism, profile, bidder: int, grid: GridSpec,
     """The first half of ``guided_refinement``: the grid phase (``scan`` when
     the caller already holds it) and the portfolio built on its optima, charged
     the scan's evaluations and seconds in full."""
+    check_type(cfg, "cfg", PortfolioConfig)  # both before the scan's evaluations
+    check_int(seed, "seed", 0)
     scan = scan or _scan_all_items(mech, profile, bidder, grid)
     t0 = time.perf_counter()
     profile = np.asarray(profile, dtype=np.float64)

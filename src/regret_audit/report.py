@@ -148,6 +148,7 @@ def validate_report(report: AuditReport) -> None:
     count and methods, and the records fill exactly its cells: one record
     per (sample, bidder, method), or m for ``item``, each best misreport a
     row of m bids in [0, 1]."""
+    check_type(report, "report", AuditReport, InvalidConfigError)
     config = report.config
     try:
         setting = AuctionSetting(config["setting"]["n"], config["setting"]["m"])

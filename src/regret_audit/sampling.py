@@ -8,7 +8,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import rng
-from .errors import InvalidConfigError, check_float, check_int
+from .errors import InvalidConfigError, check_float, check_int, check_type
 from .mechanisms import AuctionSetting
 
 KIND_UNIFORM = "uniform01"
@@ -73,6 +73,8 @@ def sample_valuations(dist: ValuationDistribution, setting: AuctionSetting,
     normal redraws out-of-range entries from the same stream until all lie in
     [0, 1].
     """
+    check_type(dist, "dist", ValuationDistribution, InvalidConfigError)
+    check_type(setting, "setting", AuctionSetting, InvalidConfigError)
     check_int(sample_index, "sample_index", 0)
     g = rng.spawn_generator(seed, rng.STREAM_VALUATION, sample_index)
     shape = (setting.n, setting.m)

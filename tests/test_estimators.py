@@ -247,6 +247,36 @@ class TestEvalAccounting:
             assert (info.value.required, info.value.budget) == (required, ra.DEFAULT_EVAL_BUDGET)
         assert mech.evaluations == 0
 
+class TestChargedNotRun:
+    """A scan's off-grid truthful slot is charged, not run: the counts keep
+    the cost formulas while the mechanism runs only the rows a scan reads."""
+
+    OFF_GRID = np.array([[0.33, 0.47], [0.2, 0.5]])
+    ON_GRID = np.array([[0.8, 0.5], [0.3, 0.1]])
+
+    @pytest.mark.parametrize("profile, exhaustive, item_scan", [
+        # executed 1 + 11^2 and 1 + 2 * 11 rows; the scans used to run 123 and 25
+        (OFF_GRID, (122, 123), (23, 25)),
+        (ON_GRID, (122, 122), (23, 23)),
+    ], ids=["off_grid", "on_grid"])
+    def test_executed_and_charged_rows(self, monkeypatch, profile, exhaustive, item_scan):
+        executed = []
+        hook = ra.PerItemFirstPriceAuction._misreport_utilities
+
+        def counted(self, profile, bidder, rows, v):
+            executed.append(len(rows))
+            return hook(self, profile, bidder, rows, v)
+
+        monkeypatch.setattr(ra.PerItemFirstPriceAuction, "_misreport_utilities", counted)
+        mech = ra.PerItemFirstPriceAuction(ra.AuctionSetting(2, 2))
+        grid = ra.GridSpec(10)
+        est = ra.exhaustive_regret(mech, profile, 0, grid)
+        assert (sum(executed), est.mech_evals, mech.evaluations) == (*exhaustive, exhaustive[1])
+        executed.clear()
+        scan = estimators._scan_all_items(mech, profile, 0, grid)
+        assert (sum(executed), scan.evaluations) == item_scan
+
+
 class TestBoundChain:
     """Lower bound <= exhaustive, lower bound <= item-wise <= m * exhaustive."""
 

@@ -1,8 +1,9 @@
 """Source hygiene: every name a package module imports is used there, no
-package module asserts or computes with BLAS, every name the benchmark tracer
-binds exists, every number a config type, record type or entry takes goes
-through ``check_int`` or ``check_float``, every field of a package type has
-its type checked, and every typed error that no other test reaches is raised
+package module asserts, computes with BLAS or drops the result of a mechanism
+evaluation, every name the benchmark tracer binds exists, every number a
+config type, record type or entry takes goes through ``check_int`` or
+``check_float``, every field and entry argument of a package type has its
+type checked, and every typed error that no other test reaches is raised
 where it should be."""
 
 import ast
@@ -10,6 +11,7 @@ import dataclasses
 import importlib.util
 import inspect
 import math
+import os
 import typing
 from pathlib import Path
 
@@ -95,6 +97,39 @@ def test_check_sees_blas_products_and_not_notation():
     assert blas_uses(source) == [(2, "@"), (3, "@"), (4, "dot"), (4, "dot"), (6, "einsum")]
 
 
+#: the mechanism entries and hooks, each of which evaluates (or charges) rows
+MECHANISM_CALLS = {"run", "run_many", "_run_batch", "_forward", "_gradient_batch",
+                   "utility_and_gradient_many", "_misreport_utilities", "evaluate_misreports",
+                   "fd_gradient_rows", "_fd_utilities", "utility", "utility_gradient"}
+
+
+def discarded_evaluations(source: str):
+    """Lines of ``source`` that call a mechanism entry or hook, as a function
+    or a method, as a bare statement whose result is dropped."""
+    return sorted(
+        (node.lineno, name) for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call)
+        and (name := getattr(node.value.func, "attr", getattr(node.value.func, "id", None)))
+        in MECHANISM_CALLS)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_discards_an_evaluation(path):
+    # an evaluation that a cost formula counts but no estimate reads is
+    # charged with Mechanism._charge, not run; grid scans used to run the
+    # off-grid truthful row and drop its utility
+    assert discarded_evaluations(path.read_text(encoding="utf-8")) == []
+
+
+def test_check_sees_discarded_evaluations_only():
+    source = ("mech._misreport_utilities(profile, 0, rows, v)\n"
+              "u = mech._misreport_utilities(profile, 0, rows, v)\n"
+              "utility(mech, v, bids, 0)\n"
+              "mech._charge(1)\n"
+              "calls.append(mech.run_many(batch))\n")
+    assert discarded_evaluations(source) == [(1, "_misreport_utilities"), (3, "utility")]
+
+
 def marked_imports(source: str):
     """Names imported in ``source`` on lines marked ``# noqa``."""
     lines = source.splitlines()
@@ -126,6 +161,7 @@ SETTING = ra.AuctionSetting(2, 2)
 PROFILE = [[0.3, 0.4], [0.2, 0.5]]
 ESTIMATE = ra.RegretEstimate(ra.METHOD_EXHAUSTIVE, 0, 0.0, None, 1, 0.0)
 RECORD = ra.AuditRecord(0, ESTIMATE)
+SPEC = ra.generate_neural_spec(SETTING, 2, 0)
 AUDIT_CONFIG = ra.AuditRunConfig(SETTING, "second_price", ra.ValuationDistribution(),
                                  ra.GridSpec(4), (ra.METHOD_EXHAUSTIVE,), ra.PgaConfig(0.1, 1, 1),
                                  ra.PortfolioConfig(), samples=1, seed=0)
@@ -140,7 +176,7 @@ VALID_INSTANCES = (
     ESTIMATE,
     RECORD,
     ra.AuditReport({}, [RECORD], 0.0),
-    ra.generate_neural_spec(SETTING, 2, 0),
+    SPEC,
 )
 #: values every int or float field must refuse; a tuple-of-int field, each
 #: bad int inside a tuple
@@ -195,10 +231,11 @@ def test_every_exported_type_with_a_package_type_field_has_an_instance():
     assert exported <= {type(obj) for obj in VALID_INSTANCES}
 
 
-#: values a package-type field is given in place of its type; each is left
-#: out where the field's annotation allows it (None for Optional, a str for
-#: a mechanism source)
-WRONG_OBJECTS = (4, "x", (2, 2), None, [0.1, 1, 1])
+#: values a package-type field or argument is given in place of its type,
+#: each config type among them in place of the other; each is left out where
+#: the annotation allows it (None for Optional, a str for a mechanism source)
+WRONG_OBJECTS = (4, "x", (2, 2), None, [0.1, 1, 1], ra.PgaConfig(0.1, 1, 1),
+                 ra.PortfolioConfig())
 
 
 @pytest.mark.parametrize("obj,name,bad", [
@@ -225,6 +262,9 @@ INT_ENTRIES = {
     "pga_single(big_r)": lambda mech, x: ra.pga_single(mech, PROFILE, 0, [0.5, 0.5], 0.1, x),
     "build_portfolio(seed)": lambda mech, x: ra.build_portfolio(
         PROFILE, 0, [0.5, 0.5], ra.PortfolioConfig(), x),
+    # refused by build_portfolio, after the grid scan, until guided checked it first
+    "guided_refinement(seed)": lambda mech, x: ra.guided_refinement(
+        mech, PROFILE, 0, ra.GridSpec(4), ra.PortfolioConfig(), x),
     "resolve_workers(workers)": lambda mech, x: resolve_workers(x),
 }
 
@@ -235,6 +275,75 @@ def test_every_integer_argument_is_checked(entry, bad):
     mech = ra.PerItemFirstPriceAuction(SETTING)
     with pytest.raises(ra.AuditError):
         INT_ENTRIES[entry](mech, bad)
+    assert mech.evaluations == 0
+
+
+GRID = ra.GridSpec(4)
+GUIDED = ra.PortfolioConfig(refine=ra.PgaConfig(0.1, 1, 1))
+
+#: each entry, given a fresh mechanism and a value for one package-type
+#: argument, with the type that argument takes
+PACKAGE_ENTRIES = {
+    "exhaustive_regret(mech)": (ra.Mechanism, lambda mech, x: ra.exhaustive_regret(
+        x, PROFILE, 0, GRID)),
+    "exhaustive_regret(grid)": (ra.GridSpec, lambda mech, x: ra.exhaustive_regret(
+        mech, PROFILE, 0, x)),
+    "item_regret(mech)": (ra.Mechanism, lambda mech, x: ra.item_regret(x, PROFILE, 0, 0, GRID)),
+    "item_regret(grid)": (ra.GridSpec, lambda mech, x: ra.item_regret(mech, PROFILE, 0, 0, x)),
+    "lower_bound_regret(grid)": (ra.GridSpec, lambda mech, x: ra.lower_bound_regret(
+        mech, PROFILE, 0, x)),
+    "item_wise_regret(mech)": (ra.Mechanism, lambda mech, x: ra.item_wise_regret(
+        x, PROFILE, 0, GRID)),
+    "item_wise_regret(grid)": (ra.GridSpec, lambda mech, x: ra.item_wise_regret(
+        mech, PROFILE, 0, x)),
+    "random_restart_pga(mech)": (ra.Mechanism, lambda mech, x: ra.random_restart_pga(
+        x, PROFILE, 0, ra.PgaConfig(0.1, 1, 1), 0)),
+    "random_restart_pga(cfg)": (ra.PgaConfig, lambda mech, x: ra.random_restart_pga(
+        mech, PROFILE, 0, x, 0)),
+    "guided_refinement(mech)": (ra.Mechanism, lambda mech, x: ra.guided_refinement(
+        x, PROFILE, 0, GRID, GUIDED, 0)),
+    "guided_refinement(grid)": (ra.GridSpec, lambda mech, x: ra.guided_refinement(
+        mech, PROFILE, 0, x, GUIDED, 0)),
+    "guided_refinement(cfg)": (ra.PortfolioConfig, lambda mech, x: ra.guided_refinement(
+        mech, PROFILE, 0, GRID, x, 0)),
+    "build_portfolio(cfg)": (ra.PortfolioConfig, lambda mech, x: ra.build_portfolio(
+        PROFILE, 0, [0.5, 0.5], x, 0)),
+    "pga_single(mech)": (ra.Mechanism, lambda mech, x: ra.pga_single(
+        x, PROFILE, 0, [0.5, 0.5], 0.1, 1)),
+    "evaluate_misreports(mech)": (ra.Mechanism, lambda mech, x: ra.evaluate_misreports(
+        x, PROFILE, 0, [[0.5, 0.5]])),
+    "utility(mech)": (ra.Mechanism, lambda mech, x: ra.utility(x, PROFILE[0], PROFILE, 0)),
+    "utility_gradient(mech)": (ra.Mechanism, lambda mech, x: ra.utility_gradient(
+        x, PROFILE[0], PROFILE, 0)),
+    "sample_valuations(dist)": (ra.ValuationDistribution, lambda mech, x: ra.sample_valuations(
+        x, SETTING, 0, 0)),
+    "sample_valuations(setting)": (ra.AuctionSetting, lambda mech, x: ra.sample_valuations(
+        ra.ValuationDistribution(), x, 0, 0)),
+    "generate_neural_spec(setting)": (ra.AuctionSetting, lambda mech, x: ra.generate_neural_spec(
+        x, 4, 0)),
+    "first_price(setting)": (ra.AuctionSetting, lambda mech, x: ra.PerItemFirstPriceAuction(x)),
+    "NeuralMechanism(spec)": (ra.NeuralMechanismSpec, lambda mech, x: ra.NeuralMechanism(x)),
+    "resolve_mechanism(setting)": (ra.AuctionSetting, lambda mech, x: ra.resolve_mechanism(
+        "second_price", x)),
+    "resolve_mechanism(spec, setting)": (ra.AuctionSetting, lambda mech, x:
+                                         ra.resolve_mechanism(SPEC, x)),
+    "run_audit(cfg)": (ra.AuditRunConfig, lambda mech, x: ra.run_audit(x)),
+    "run_sweep(cfg)": (ra.AuditRunConfig, lambda mech, x: ra.run_sweep(x, [1], [1])),
+    "write_report(report)": (ra.AuditReport, lambda mech, x: ra.write_report(x, os.devnull)),
+}
+
+
+@pytest.mark.parametrize("entry,bad", [
+    pytest.param(entry, bad, id=f"{entry}={bad!r}")
+    for entry, (wants, _) in PACKAGE_ENTRIES.items()
+    for bad in WRONG_OBJECTS if not isinstance(bad, wants)])
+def test_every_package_type_argument_is_checked(entry, bad):
+    # these used to raise a raw AttributeError or TypeError, guided's after
+    # its whole grid scan, and resolve_mechanism("second_price", None)
+    # returned a mechanism whose setting was None
+    mech = ra.PerItemFirstPriceAuction(SETTING)
+    with pytest.raises(ra.AuditError):
+        PACKAGE_ENTRIES[entry][1](mech, bad)
     assert mech.evaluations == 0
 
 

@@ -339,10 +339,13 @@ BIDDER_ENTRIES = {
     "utility": (1, lambda mech, b: ra.utility(mech, PROFILE_2X2[1], PROFILE_2X2, b)),
     "utility_gradient": (1, lambda mech, b: ra.utility_gradient(
         mech, PROFILE_2X2[1], PROFILE_2X2, b)),
+    # evaluates nothing: its cost is 0 for every bidder form
+    "build_portfolio": (1, lambda mech, b: ra.build_portfolio(
+        PROFILE_2X2, b, [0.5, 0.5], ra.PortfolioConfig(), 0)),
 }
 
 #: the entries of one profile and one bidder, which take an integer bidder only
-SINGLE_CELL = ("utility", "utility_gradient")
+SINGLE_CELL = ("utility", "utility_gradient", "build_portfolio")
 
 
 def _parts(result):
@@ -399,7 +402,8 @@ class TestBidderForms:
 
     @pytest.mark.parametrize("bidder", [np.array(0), np.array([0])], ids=repr)
     def test_single_cell_entries_refuse_arrays(self, kind, entry, bidder):
-        # utility_gradient used to take both forms, where utility refused them
+        # utility_gradient, and then build_portfolio, used to take both forms,
+        # where utility refused them
         if entry not in SINGLE_CELL:
             return
         mech = GRADIENT_MECHANISMS[kind](ra.AuctionSetting(2, 2))
