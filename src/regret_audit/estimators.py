@@ -11,13 +11,19 @@ Four estimators share one discretization of the bid interval:
   optimum when cross-item interactions are weak, and never more than m times
   the optimum.
 
-A scan whose best gain is not strictly positive reports exactly 0 at the
-truthful row (``_clamp_gain``), so every estimate is nonnegative. A truthful
-row off the grid fills a scan slot that the cost formulas count and no
-estimate reads, so it is charged, not run (``Mechanism.evaluations``). Each
-estimator reports the mechanism evaluations (by the mechanism's counter) and
-seconds it consumed. The per-item estimators read both, in full, off one
-``ItemScan``, which a caller already holding it passes as ``scan=``.
+Every scan is one product grid, one array of points per coordinate (the
+item scans' other coordinates are truthful singletons). The mechanism's
+``_product_utilities`` hook gives its utilities at most ``_SCAN_CHUNK`` at a
+time: by default from the materialized rows, and for first and second price
+by adding each item's per-point terms over the product. A scan whose best
+gain is not strictly positive reports exactly 0 at the truthful row
+(``_clamp_gain``), so every estimate is nonnegative. A truthful row off the
+grid fills a scan slot that the cost formulas count and no estimate reads,
+so it is charged, not run (``Mechanism.evaluations``). Each estimator
+reports the mechanism evaluations (by the mechanism's counter) and seconds
+it consumed. The per-item estimators scan, then read their estimate off the
+``ItemScan`` (``item``, ``lower_bound``, ``item_wise``), which counts both in
+full for every read-out.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import BudgetExceededError, InvalidInputError, check_float, check_int, check_type
-from .mechanisms import Mechanism, as_floats, check_query
+from .mechanisms import Mechanism, _lex_rows, as_floats, check_query
 
 DEFAULT_EVAL_BUDGET = 10**8
 _SCAN_CHUNK = 8192
@@ -121,36 +127,39 @@ def _clamp_gain(gain: float, row: np.ndarray, truthful: np.ndarray):
 
 @dataclass(frozen=True)
 class ItemScan:
-    """Per item j, the clamped best gain ``gains[j]`` of moving coordinate j
-    alone over the grid, reached at ``coords[j]`` (truthful if nothing gains)."""
+    """Bidder ``bidder``'s item scan at ``profile``: per item j, the clamped
+    best gain ``gains[j]`` of moving coordinate j alone over the grid, reached
+    at ``coords[j]`` (truthful if nothing gains). Each estimate read off it
+    counts its evaluations and seconds in full."""
 
-    truthful: np.ndarray
+    profile: np.ndarray
+    bidder: int
     base: float
     gains: np.ndarray
     coords: np.ndarray
     evaluations: int
     seconds: float
 
-    def row(self, item: int) -> np.ndarray:
-        """The truthful row with ``item`` moved to its best coordinate."""
-        row = self.truthful.copy()
-        row[item] = self.coords[item]
-        return row
+    def _estimate(self, method: str, value: float, item=None) -> RegretEstimate:
+        """A read-out, at the truthful row with ``item`` at its best coordinate."""
+        row = None
+        if item is not None:
+            row = self.profile[self.bidder].copy()
+            row[item] = self.coords[item]
+        return RegretEstimate(method, self.bidder, value, row, self.evaluations, self.seconds)
 
-    def best(self):
-        """(gain, row) of the best single-item deviation: the grid lower bound
-        on the regret, the first item winning ties."""
+    def item(self, item: int) -> RegretEstimate:
+        """``item_regret``'s estimate: deviating on ``item`` alone."""
+        return self._estimate(METHOD_ITEM, float(self.gains[item]), item)
+
+    def lower_bound(self) -> RegretEstimate:
+        """``lower_bound_regret``'s estimate: the best item, the first on ties."""
         j = int(np.argmax(self.gains))
-        return float(self.gains[j]), self.row(j)
+        return self._estimate(METHOD_LOWER_BOUND, float(self.gains[j]), j)
 
-
-def _lex_rows(axes, flat: np.ndarray) -> np.ndarray:
-    """Rows number ``flat`` of the lexicographic product of ``axes``."""
-    rows = np.empty((flat.size, len(axes)))
-    if axes:
-        for k, index in enumerate(np.unravel_index(flat, [len(axis) for axis in axes])):
-            rows[:, k] = axes[k][index]
-    return rows
+    def item_wise(self) -> RegretEstimate:
+        """``item_wise_regret``'s estimate: the per-item gains' sum, no misreport."""
+        return self._estimate(METHOD_ITEM_WISE, float(self.gains.sum()))
 
 
 def _grid_best(mech: Mechanism, profile: np.ndarray, bidder: int, base: float, axes):
@@ -159,36 +168,35 @@ def _grid_best(mech: Mechanism, profile: np.ndarray, bidder: int, base: float, a
 
     Rows are scanned in lexicographic order, at most ``_SCAN_CHUNK`` at a
     time, and the first maximum wins; ``_clamp_gain`` gives the floor of 0.
-    Each chunk tiles whole copies of one trailing block, the product of the
-    last axes that fits in a chunk, under its leading coordinates. A
-    non-finite utility raises InvalidInputError: a NaN would otherwise drop
-    out of the argmax and leave a false 0.0. The estimator checked the profile
-    and bidder once (``_prepare``), and grid rows lie in [0, 1], so the chunks
-    go to the mechanism's hook unchecked.
+    Each chunk is whole copies of one trailing block, the product of the
+    last axes that fits in a chunk, and its utilities come from the
+    mechanism's ``_product_utilities``, which charges one evaluation per row;
+    the winning row is rebuilt alone. A non-finite utility raises
+    InvalidInputError: a NaN would otherwise drop out of the argmax and leave
+    a false 0.0. The estimator checked the profile and bidder once
+    (``_prepare``), and grid rows lie in [0, 1], so the hook gets them
+    unchecked.
     """
     truthful = profile[bidder]
-    sizes = tuple(len(axis) for axis in axes)
+    sizes = [len(axis) for axis in axes]
     lead = len(axes)
     while lead and math.prod(sizes[lead - 1:]) <= _SCAN_CHUNK:
         lead -= 1
-    block = _lex_rows(axes[lead:], np.arange(math.prod(sizes[lead:])))
-    per_chunk, total = _SCAN_CHUNK // len(block), math.prod(sizes[:lead])
-    best_gain, best_row = -np.inf, None
-    for start in range(0, total, per_chunk):
-        leading = _lex_rows(axes[:lead], np.arange(start, min(start + per_chunk, total)))
-        rows = np.empty((len(leading), len(block), len(axes)))
-        rows[:, :, :lead] = leading[:, None, :]
-        rows[:, :, lead:] = block
-        rows = rows.reshape(-1, len(axes))
-        utils = mech._misreport_utilities(profile, bidder, rows, truthful)
+    block, total = math.prod(sizes[lead:]), math.prod(sizes)
+    step = _SCAN_CHUNK // block * block
+    utilities = mech._product_utilities(profile, bidder, axes, truthful)
+    best_gain, best_at = -np.inf, 0
+    for start in range(0, total, step):
+        utils = utilities(start, min(start + step, total))
         if not np.isfinite(utils).all():
+            at = start + int(np.argmin(np.isfinite(utils)))
             raise InvalidInputError(f"mechanism gives bidder {bidder} a non-finite misreport "
-                                    f"utility at {rows[np.argmin(np.isfinite(utils))].tolist()}")
+                                    f"utility at {_lex_rows(axes, at, at + 1)[0].tolist()}")
         gains = utils - base
         i = int(np.argmax(gains))
         if gains[i] > best_gain:
-            best_gain, best_row = float(gains[i]), rows[i].copy()
-    return _clamp_gain(best_gain, best_row, truthful)
+            best_gain, best_at = float(gains[i]), start + i
+    return _clamp_gain(best_gain, _lex_rows(axes, best_at, best_at + 1)[0], truthful)
 
 
 def _check_budget(max_evals: int, m: int, grid: GridSpec, exhaustive: bool = False) -> None:
@@ -222,7 +230,7 @@ def _scan_all_items(mech: Mechanism, profile, bidder: int, grid: GridSpec,
         gains[j], row = _grid_best(mech, profile, bidder, base, axes)
         coords[j] = row[j]
     mech._charge(sum(not (pts == t).any() for t in truthful))
-    return ItemScan(truthful.copy(), base, gains, coords, mech.evaluations - evals0,
+    return ItemScan(profile, bidder, base, gains, coords, mech.evaluations - evals0,
                     time.perf_counter() - t0)
 
 
@@ -248,36 +256,29 @@ def exhaustive_regret(mech: Mechanism, profile, bidder: int, grid: GridSpec,
                           mech.evaluations - evals0, time.perf_counter() - t0)
 
 
-def item_regret(mech: Mechanism, profile, bidder: int, item: int, grid: GridSpec,
-                scan: Optional[ItemScan] = None) -> RegretEstimate:
+def item_regret(mech: Mechanism, profile, bidder: int, item: int,
+                grid: GridSpec) -> RegretEstimate:
     """Regret from deviating on a single item, all other coordinates truthful."""
     check_type(mech, "mech", Mechanism)
     check_int(item, "item", 0)
     if item >= mech.setting.m:
         raise InvalidInputError(f"item {item} out of range for m={mech.setting.m}")
-    scan = scan or _scan_all_items(mech, profile, bidder, grid)
-    return RegretEstimate(METHOD_ITEM, bidder, float(scan.gains[item]), scan.row(item),
-                          scan.evaluations, scan.seconds)
+    return _scan_all_items(mech, profile, bidder, grid).item(item)
 
 
-def lower_bound_regret(mech: Mechanism, profile, bidder: int, grid: GridSpec,
-                       scan: Optional[ItemScan] = None) -> RegretEstimate:
+def lower_bound_regret(mech: Mechanism, profile, bidder: int, grid: GridSpec) -> RegretEstimate:
     """Maximum per-item regret: a provable lower bound on the true regret.
 
     Any gradient-based estimate falling below this value has missed a
     deviation that a single-coordinate scan already found.
     """
-    scan = scan or _scan_all_items(mech, profile, bidder, grid)
-    return RegretEstimate(METHOD_LOWER_BOUND, bidder, *scan.best(), scan.evaluations, scan.seconds)
+    return _scan_all_items(mech, profile, bidder, grid).lower_bound()
 
 
-def item_wise_regret(mech: Mechanism, profile, bidder: int, grid: GridSpec,
-                     scan: Optional[ItemScan] = None) -> RegretEstimate:
+def item_wise_regret(mech: Mechanism, profile, bidder: int, grid: GridSpec) -> RegretEstimate:
     """Sum of per-item regrets; linear cost, at most m times the optimum.
 
     The sum does not correspond to a single deviation, so no misreport is
     reported.
     """
-    scan = scan or _scan_all_items(mech, profile, bidder, grid)
-    return RegretEstimate(METHOD_ITEM_WISE, bidder, float(scan.gains.sum()), None,
-                          scan.evaluations, scan.seconds)
+    return _scan_all_items(mech, profile, bidder, grid).item_wise()

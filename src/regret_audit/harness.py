@@ -42,9 +42,9 @@ from .estimators import (
     ItemScan,
     RegretEstimate,
     exhaustive_regret,
-    item_regret,
-    item_wise_regret,
-    lower_bound_regret,
+    # read off the shared scans; importable here, where perfbench/tracer.py binds spans
+    item_wise_regret,  # noqa: F401
+    lower_bound_regret,  # noqa: F401
 )
 from .mechanisms import (
     BUILTIN_MECHANISMS,
@@ -88,28 +88,24 @@ def _grid(cfg: AuditRunConfig, method: str) -> GridSpec:
 
 def _guided(cfg, mech, cells, scans):
     """The ``METHODS`` entry of guided refinement, on its grid."""
-    grid = _grid(cfg, METHOD_GUIDED)
     return [[est] for est in run_searches(mech, (
-        guided_search(mech, c.profile, c.bidder, grid, cfg.portfolio, c.seed, scan=scan)
-        for c, scan in zip(cells, scans(grid))), cfg.portfolio.refine)]
+        guided_search(scan, cfg.portfolio, c.seed)
+        for c, scan in zip(cells, scans(_grid(cfg, METHOD_GUIDED)))), cfg.portfolio.refine)]
 
 
 #: every method in canonical record order: (cfg, mech, cells, scans) -> each
-#: cell's estimates, where scans(grid) is each cell's item scan on grid. The
-#: estimators are looked up by name at call time, so wrappers bound on this
-#: module see every call.
+#: cell's estimates, where scans(grid) is each cell's item scan on grid, and
+#: the per-item estimates are its read-outs. The other estimators are looked
+#: up by name at call time, so wrappers bound on this module see every call.
 METHODS = {
     METHOD_EXHAUSTIVE: lambda cfg, mech, cells, scans: [[exhaustive_regret(
         mech, c.profile, c.bidder, cfg.grid, max_evals=cfg.max_grid_evals)] for c in cells],
-    METHOD_ITEM: lambda cfg, mech, cells, scans: [[
-        item_regret(mech, c.profile, c.bidder, j, cfg.grid, scan=scan)
-        for j in range(mech.setting.m)] for c, scan in zip(cells, scans(cfg.grid))],
+    METHOD_ITEM: lambda cfg, mech, cells, scans: [
+        [scan.item(j) for j in range(mech.setting.m)] for scan in scans(cfg.grid)],
     METHOD_LOWER_BOUND: lambda cfg, mech, cells, scans: [
-        [lower_bound_regret(mech, c.profile, c.bidder, cfg.grid, scan=scan)]
-        for c, scan in zip(cells, scans(cfg.grid))],
+        [scan.lower_bound()] for scan in scans(cfg.grid)],
     METHOD_ITEM_WISE: lambda cfg, mech, cells, scans: [
-        [item_wise_regret(mech, c.profile, c.bidder, cfg.grid, scan=scan)]
-        for c, scan in zip(cells, scans(cfg.grid))],
+        [scan.item_wise()] for scan in scans(cfg.grid)],
     METHOD_PGA: lambda cfg, mech, cells, scans: [[est] for est in run_searches(mech, (
         pga_search(mech, c.profile, c.bidder, cfg.pga, c.seed) for c in cells), cfg.pga)],
     METHOD_GUIDED: _guided,

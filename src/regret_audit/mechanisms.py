@@ -10,6 +10,7 @@ inputs produce bitwise-identical outputs.
 from __future__ import annotations
 
 import json
+import math
 import threading
 from dataclasses import dataclass
 from typing import Tuple
@@ -54,6 +55,7 @@ def _check_values(arr: np.ndarray, what: str) -> None:
 
 def as_profile(values, setting: AuctionSetting) -> np.ndarray:
     """Validate and return an (n, m) float64 bid/valuation profile."""
+    check_type(setting, "setting", AuctionSetting)
     return check_query(setting, [values], 0)[0][0]
 
 
@@ -115,23 +117,26 @@ class Mechanism:
     each evaluation charged, not run (see ``evaluations``).
 
     A subclass implements ``_run_batch``, and may override ``_gradient_batch``
-    with an analytic gradient and ``_misreport_utilities`` with a direct
-    formula for one bidder's utilities, so that each profile's result is
-    bitwise independent of the rest of its batch. Audits group the rows of
-    many (sample, bidder) searches into one call, and which rows share a call
-    depends on the worker count; only row independence makes reports equal
-    for every worker count and equal to the standalone estimator functions.
-    The hooks receive checked arguments. A ``_misreport_utilities`` override
-    must equal the default up to rounding (see ``SecondPriceAuction``) and
-    charge one evaluation per row. A subclass that replaces ``_run_batch``
-    gets the default of every other hook it does not define itself: an
-    inherited override describes its parent's ``_run_batch``, not this one.
+    with an analytic gradient, ``_misreport_utilities`` with a direct formula
+    for one bidder's utilities and ``_product_utilities`` with one over a
+    product grid, so that each profile's result is bitwise independent of the
+    rest of its batch. Audits group the rows of many (sample, bidder) searches
+    into one call, and which rows share a call depends on the worker count;
+    only row independence makes reports equal for every worker count and
+    equal to the standalone estimator functions. The hooks receive checked
+    arguments. A ``_misreport_utilities`` override must equal the default up
+    to rounding (see ``SecondPriceAuction``) and charge one evaluation per
+    row; a ``_product_utilities`` override must give the default's bits and
+    charge one evaluation per product row. A subclass that replaces
+    ``_run_batch`` gets the default of every other hook it does not define
+    itself: an inherited override describes its parent's ``_run_batch``, not
+    this one.
     """
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         if "_run_batch" in cls.__dict__:
-            for hook in ("_gradient_batch", "_misreport_utilities"):
+            for hook in ("_gradient_batch", "_misreport_utilities", "_product_utilities"):
                 if hook not in cls.__dict__:
                     setattr(cls, hook, getattr(Mechanism, hook))
 
@@ -178,6 +183,16 @@ class Mechanism:
         own = np.arange(rows.shape[0]), bidder
         return (alloc[own] * v).sum(axis=1) - pay[own]
 
+    def _product_utilities(self, profile: np.ndarray, bidder: int, axes, v: np.ndarray):
+        """One bidder's utilities over the lexicographic product of ``axes``
+        (one array of points in [0, 1] per coordinate), with valuation row
+        ``v``, as a function ``utilities(start, stop)`` of a range of the
+        product's rows; one evaluation per row. The default builds the rows
+        (``_lex_rows``) and calls ``_misreport_utilities``; an override gives
+        the same bits, and does its per-scan work once, in this call."""
+        return lambda start, stop: self._misreport_utilities(
+            profile, bidder, _lex_rows(axes, start, stop), v)
+
     def run(self, bids) -> Tuple[np.ndarray, np.ndarray]:
         """Evaluate one bid profile, returning (allocation, payments)."""
         alloc, pay = self.run_many([bids])
@@ -206,6 +221,8 @@ class SecondPriceAuction(Mechanism):
     report zero on this mechanism. Misreport utilities sum per-item surplus
     w * (v - p) rather than sum(w * v) - sum(w * p): truthful surplus is
     largest per item and float sums are monotone, so rounding never gains.
+    Over a product grid each item's surplus takes one value per point, so a
+    scan adds those terms instead of evaluating rows.
     """
 
     def _run_batch(self, batch):
@@ -226,11 +243,20 @@ class SecondPriceAuction(Mechanism):
         price = omax if self.setting.n > 1 else np.zeros_like(omax)
         return (w * (v - price)).sum(axis=1)
 
+    def _product_utilities(self, profile, bidder, axes, v):
+        wins, omax = _axis_wins(profile, bidder, axes)
+        gap = v - (omax if self.setting.n > 1 else np.zeros_like(omax))
+        surplus = [w * gap[j] for j, w in enumerate(wins)]
+        return lambda start, stop: _product_sums(self, start, stop, surplus)[0]
+
 
 class PerItemFirstPriceAuction(Mechanism):
     """Per-item first price: the highest bid wins (ties go to the lowest
     bidder index) and pays its own bid. Not incentive compatible; because the
-    items never interact, item-wise regret equals the joint optimum.
+    items never interact, item-wise regret equals the joint optimum. Over a
+    product grid, as for second price, a scan adds per-item terms: each
+    item's won value and its payment, summed apart as ``_misreport_utilities``
+    sums them.
     """
 
     def _run_batch(self, batch):
@@ -244,6 +270,12 @@ class PerItemFirstPriceAuction(Mechanism):
         w, _ = _wins(profile, bidder, rows)
         self._charge(rows.shape[0])
         return (w * v).sum(axis=1) - (w * rows).sum(axis=1)
+
+    def _product_utilities(self, profile, bidder, axes, v):
+        wins, _ = _axis_wins(profile, bidder, axes)
+        won = [w * v[j] for j, w in enumerate(wins)]
+        paid = [w * axis for w, axis in zip(wins, axes)]
+        return lambda start, stop: np.subtract(*_product_sums(self, start, stop, won, paid))
 
 
 def _wins(profile: np.ndarray, bidder, rows: np.ndarray):
@@ -263,6 +295,92 @@ def _wins(profile: np.ndarray, bidder, rows: np.ndarray):
     tie_wins = bidder < others.argmax(axis=-2)
     threshold = np.where(tie_wins, np.nextafter(omax, -np.inf), omax)
     return (rows > threshold).astype(np.float64), omax
+
+
+def _axis_wins(profile: np.ndarray, bidder: int, axes):
+    """``_wins`` of every axis's points on its own item, in one call on the
+    stacked per-axis rows (row t holds point t of each axis that long): the
+    win mask of each axis's points, and the others' per-item maximum bid."""
+    rows = np.zeros((max(len(axis) for axis in axes), len(axes)))
+    for j, axis in enumerate(axes):
+        rows[:len(axis), j] = axis
+    w, omax = _wins(profile, bidder, rows)
+    return [w[:len(axis), j] for j, axis in enumerate(axes)], omax
+
+
+def _product_index(sizes, start: int, stop: int):
+    """The shape (copies, *block sizes) of rows ``start`` to ``stop`` of the
+    lexicographic product of axes of ``sizes``, and each axis's point
+    indices, shaped to broadcast to it.
+
+    An axis of one point takes index 0 and adds no dimension, so an item
+    scan's shape has at most two, whatever m. Over the other axes, the range
+    is whole copies of a trailing block, the product of the last axes; with
+    the largest such block the leading axes' indices have one entry per copy,
+    shape (copies, 1, ...), and the block's axes are aranges on their own
+    dimensions.
+    """
+    varying = [k for k, size in enumerate(sizes) if size > 1]
+    spans = [sizes[k] for k in varying]
+    lead = len(spans)
+    while lead and not (start % math.prod(spans[lead - 1:]) or
+                        (stop - start) % math.prod(spans[lead - 1:])):
+        lead -= 1
+    block = math.prod(spans[lead:])
+    shape = ((stop - start) // block, *spans[lead:])
+    ones = (1,) * (len(spans) - lead)
+    leading = np.unravel_index(np.arange(start // block, stop // block), spans[:lead]) if lead else ()
+    spanned = [i.reshape((-1,) + ones) for i in leading] + [
+        np.arange(size).reshape((1,) + ones[:d] + (size,) + ones[d + 1:])
+        for d, size in enumerate(spans[lead:])]
+    index = [np.zeros(1, dtype=np.intp)] * len(sizes)
+    for k, i in zip(varying, spanned):
+        index[k] = i
+    return shape, index
+
+
+def _lex_rows(axes, start: int, stop: int) -> np.ndarray:
+    """Rows ``start`` to ``stop`` of the lexicographic product of ``axes``:
+    one broadcast assignment per coordinate, so a trailing block is tiled
+    under its leading coordinates (``_product_index``)."""
+    shape, index = _product_index([len(axis) for axis in axes], start, stop)
+    rows = np.empty(shape + (len(axes),))
+    for k, (axis, i) in enumerate(zip(axes, index)):
+        rows[..., k] = axis[i]
+    return rows.reshape(-1, len(axes))
+
+
+def _row_sum(terms):
+    """The sum of ``terms``, arrays that broadcast together, in the order in
+    which numpy's ``sum(axis=1)`` adds a contiguous row of them, and so with
+    its bits: from +0.0 (never a -0.0 sum); below 8 terms in order; up to
+    128 in eight strided accumulators t[k] + t[k+8] + ..., reduced as
+    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the remainder in order; above
+    128 as two halves, the first a multiple of 8 long."""
+    n = len(terms)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _row_sum(terms[:half]) + _row_sum(terms[half:])
+    total = 0.0
+    if n >= 8:
+        r = list(terms[:8])
+        for i in range(8, n - n % 8, 8):
+            r = [a + b for a, b in zip(r, terms[i:i + 8])]
+        total = total + (((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])))
+        terms = terms[n - n % 8:]
+    for term in terms:
+        total = total + term
+    return total
+
+
+def _product_sums(mech: Mechanism, start: int, stop: int, *terms):
+    """Per row ``start`` to ``stop`` of a lexicographic product, the
+    ``_row_sum`` of its points' entries in each of ``terms`` (per axis, one
+    entry per point of the axis); charges one evaluation per row."""
+    _, index = _product_index([len(term) for term in terms[0]], start, stop)
+    mech._charge(stop - start)
+    return [_row_sum([term[i] for term, i in zip(per_axis, index)]).reshape(-1)
+            for per_axis in terms]
 
 
 BUILTIN_MECHANISMS = {

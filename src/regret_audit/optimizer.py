@@ -359,20 +359,15 @@ def build_portfolio(profile, bidder: int, item_argmaxes, cfg: PortfolioConfig,
     return np.stack(rows)
 
 
-def guided_search(mech: Mechanism, profile, bidder: int, grid: GridSpec,
-                   cfg: PortfolioConfig, seed: int,
-                   scan: Optional[ItemScan] = None) -> _Search:
-    """The first half of ``guided_refinement``: the grid phase (``scan`` when
-    the caller already holds it) and the portfolio built on its optima, charged
-    the scan's evaluations and seconds in full."""
-    check_type(cfg, "cfg", PortfolioConfig)  # both before the scan's evaluations
-    check_int(seed, "seed", 0)
-    scan = scan or _scan_all_items(mech, profile, bidder, grid)
+def guided_search(scan: ItemScan, cfg: PortfolioConfig, seed: int) -> _Search:
+    """The first half of ``guided_refinement`` after its grid phase: the
+    portfolio built on ``scan``'s optima, charged the scan's evaluations and
+    seconds in full."""
     t0 = time.perf_counter()
-    profile = np.asarray(profile, dtype=np.float64)
-    starts = build_portfolio(profile, bidder, scan.coords, cfg, seed)
-    return _Search(METHOD_GUIDED, profile, bidder, scan.base, starts, scan.evaluations,
-                   scan.seconds + time.perf_counter() - t0, scan.best())
+    starts = build_portfolio(scan.profile, scan.bidder, scan.coords, cfg, seed)
+    floor = scan.lower_bound()
+    return _Search(METHOD_GUIDED, scan.profile, scan.bidder, scan.base, starts, scan.evaluations,
+                   scan.seconds + time.perf_counter() - t0, (floor.value, floor.best_misreport))
 
 
 def guided_refinement(mech: Mechanism, profile, bidder: int, grid: GridSpec,
@@ -385,5 +380,7 @@ def guided_refinement(mech: Mechanism, profile, bidder: int, grid: GridSpec,
     iterate, so it can never fall below the grid lower bound. Evaluation
     counts include the grid phase.
     """
-    return run_searches(mech, [guided_search(mech, profile, bidder, grid, cfg, seed)],
-                        cfg.refine)[0]
+    check_type(cfg, "cfg", PortfolioConfig)  # both before the scan's evaluations
+    check_int(seed, "seed", 0)
+    scan = _scan_all_items(mech, profile, bidder, grid)
+    return run_searches(mech, [guided_search(scan, cfg, seed)], cfg.refine)[0]

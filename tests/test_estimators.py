@@ -186,8 +186,7 @@ class TestEvalAccounting:
         profile = uniform_profile(setting_2x2, 0, 7)
         scan = estimators._scan_all_items(neural_2x2, profile, 0, ra.GridSpec(1000))
         assert scan.seconds > 0.0
-        for estimate in (ra.lower_bound_regret, ra.item_wise_regret):
-            est = estimate(neural_2x2, profile, 0, ra.GridSpec(1000), scan=scan)
+        for est in (scan.item(1), scan.lower_bound(), scan.item_wise()):
             assert (est.mech_evals, est.wall_seconds) == (scan.evaluations, scan.seconds)
 
     def test_counter_delta_matches_reported(self, setting_2x2, neural_2x2):
@@ -260,14 +259,26 @@ class TestChargedNotRun:
         (ON_GRID, (122, 122), (23, 23)),
     ], ids=["off_grid", "on_grid"])
     def test_executed_and_charged_rows(self, monkeypatch, profile, exhaustive, item_scan):
+        # the executed rows: the truthful rows, and the product rows a scan
+        # asks the product hook for
         executed = []
         hook = ra.PerItemFirstPriceAuction._misreport_utilities
+        product = ra.PerItemFirstPriceAuction._product_utilities
 
         def counted(self, profile, bidder, rows, v):
             executed.append(len(rows))
             return hook(self, profile, bidder, rows, v)
 
+        def counted_product(self, profile, bidder, axes, v):
+            utilities = product(self, profile, bidder, axes, v)
+
+            def counted_range(start, stop):
+                executed.append(stop - start)
+                return utilities(start, stop)
+            return counted_range
+
         monkeypatch.setattr(ra.PerItemFirstPriceAuction, "_misreport_utilities", counted)
+        monkeypatch.setattr(ra.PerItemFirstPriceAuction, "_product_utilities", counted_product)
         mech = ra.PerItemFirstPriceAuction(ra.AuctionSetting(2, 2))
         grid = ra.GridSpec(10)
         est = ra.exhaustive_regret(mech, profile, 0, grid)
@@ -382,6 +393,22 @@ class TestDeterministicScan:
         assert est.best_misreport.tolist() == [0.5]
         item = ra.item_regret(mech, profile, 0, 0, ra.GridSpec(10))
         assert item.best_misreport.tolist() == [0.5]
+
+    def test_item_scans_of_more_items_than_numpy_has_dimensions(self):
+        # an item scan of m items used to unravel its rows over m dimensions,
+        # and numpy's cap of 64 raised a raw ValueError from m = 65 on
+        class RowsFirstPrice(ra.PerItemFirstPriceAuction):
+            _product_utilities = ra.Mechanism._product_utilities
+
+        setting = ra.AuctionSetting(2, 70)
+        profile = uniform_profile(setting, 0, 3)
+        terms = ra.item_wise_regret(ra.PerItemFirstPriceAuction(setting), profile, 1,
+                                    ra.GridSpec(4))
+        rows = ra.item_wise_regret(RowsFirstPrice(setting), profile, 1, ra.GridSpec(4))
+        assert terms.value > 0.0
+        assert (terms.value, terms.mech_evals) == (rows.value, rows.mech_evals)
+        assert ra.lower_bound_regret(ra.SecondPriceAuction(setting), profile, 1,
+                                     ra.GridSpec(4)).value == 0.0
 
 
 #: every single-cell entry, as call(mech, profile, bidder) on first price 2x2, q=4

@@ -99,8 +99,9 @@ def test_check_sees_blas_products_and_not_notation():
 
 #: the mechanism entries and hooks, each of which evaluates (or charges) rows
 MECHANISM_CALLS = {"run", "run_many", "_run_batch", "_forward", "_gradient_batch",
-                   "utility_and_gradient_many", "_misreport_utilities", "evaluate_misreports",
-                   "fd_gradient_rows", "_fd_utilities", "utility", "utility_gradient"}
+                   "utility_and_gradient_many", "_misreport_utilities", "_product_utilities",
+                   "evaluate_misreports", "fd_gradient_rows", "_fd_utilities", "utility",
+                   "utility_gradient"}
 
 
 def discarded_evaluations(source: str):
@@ -288,6 +289,7 @@ PACKAGE_ENTRIES = {
         x, PROFILE, 0, GRID)),
     "exhaustive_regret(grid)": (ra.GridSpec, lambda mech, x: ra.exhaustive_regret(
         mech, PROFILE, 0, x)),
+    "as_profile(setting)": (ra.AuctionSetting, lambda mech, x: ra.as_profile(PROFILE, x)),
     "item_regret(mech)": (ra.Mechanism, lambda mech, x: ra.item_regret(x, PROFILE, 0, 0, GRID)),
     "item_regret(grid)": (ra.GridSpec, lambda mech, x: ra.item_regret(mech, PROFILE, 0, 0, x)),
     "lower_bound_regret(grid)": (ra.GridSpec, lambda mech, x: ra.lower_bound_regret(

@@ -421,7 +421,28 @@ class ZeroNeural(ra.NeuralMechanism):
         return np.zeros((B, n, m)), np.zeros((B, n))
 
 
+class FreeFirstPrice(ra.PerItemFirstPriceAuction):
+    """First price's allocation with nothing paid."""
+
+    def _run_batch(self, batch):
+        alloc, pay = super()._run_batch(batch)
+        return alloc, np.zeros_like(pay)
+
+
 class TestHookDefaults:
+    def test_replacing_run_batch_restores_the_default_product_scan(self):
+        # first price's product hook adds its own payments per item; a
+        # subclass that pays nothing must not inherit it
+        assert FreeFirstPrice._product_utilities is ra.Mechanism._product_utilities
+        setting, grid = ra.AuctionSetting(2, 2), ra.GridSpec(4)
+        profile = np.array([[0.5, 0.25], [0.25, 0.5]])
+        # bidder 1 wins item 1 at its bid and loses item 0 to bidder 0; for
+        # free, the first grid row that wins both gains item 0's 0.25
+        free = ra.exhaustive_regret(FreeFirstPrice(setting), profile, 1, grid)
+        assert (free.value, free.best_misreport.tolist()) == (0.25, [0.75, 0.5])
+        paid = ra.exhaustive_regret(ra.PerItemFirstPriceAuction(setting), profile, 1, grid)
+        assert paid.value == 0.0
+
     def test_replacing_run_batch_restores_every_default_hook(self, setting_2x2):
         # the ascent used to take the parent network's utilities from the
         # inherited _gradient_batch: pga reported 0.277 and guided 0.296

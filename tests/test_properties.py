@@ -2,7 +2,8 @@
 ascent, retired ascent rows against the full-batch loop, report equality
 across worker counts, restart nesting, monotone grid refinement, the exact
 bound chain, chunk invariance of the grid scans,
-the built-in auctions' direct misreport utilities against the default path
+the built-in auctions' direct misreport and product-grid utilities against
+the default path
 and the closed-form grid regret, the one-call finite-difference gradient
 against separately evaluated probes, the neural affine layer against its
 in-order loop, the feature-major neural kernel against a batch-major
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 
 import regret_audit as ra
 from regret_audit import estimators
-from regret_audit.mechanisms import _AFFINE_REDUCE_MAX, _affine
+from regret_audit.mechanisms import _AFFINE_REDUCE_MAX, _affine, _row_sum
 from regret_audit.optimizer import _ascend, _best_candidate
 from regret_audit.report import report_to_dict
 
@@ -277,6 +278,104 @@ def test_builtin_misreport_utilities_bitwise_equal_default(call):
     default = ra.Mechanism._misreport_utilities(mech, profile, bidder, rows, v)
     assert mech.evaluations == 2 * len(rows)
     assert fast.tobytes() == default.tobytes()
+
+
+@st.composite
+def product_calls(draw):
+    """(mechanism, profile, bidder, axes, start, stop) for a built-in's
+    ``_product_utilities``: values on a grid of eighths, so that bids tie,
+    the bidder's row sometimes off it, the axes of an exhaustive scan or of
+    one item's scan (the other coordinates truthful singletons), and a range
+    of at most 300 rows, sometimes whole copies of a trailing block."""
+    n, m, q = draw(st.integers(1, 4)), draw(st.integers(1, 10)), draw(st.integers(1, 7))
+
+    def values(count, value):
+        return np.array(draw(st.lists(value, min_size=count, max_size=count)))
+
+    mech = BUILTINS[draw(st.sampled_from(sorted(BUILTINS)))](ra.AuctionSetting(n, m))
+    profile = values(n * m, st.integers(0, 8)).reshape(n, m) / 8
+    bidder = draw(st.integers(0, n - 1))
+    if draw(st.booleans()):
+        profile[bidder] = values(m, st.floats(0.0, 1.0))
+    points = ra.GridSpec(q, draw(st.sampled_from(estimators.GRID_STYLES))).points
+    item = draw(st.one_of(st.none(), st.integers(0, m - 1)))
+    axes = [points if item in (None, k) else profile[bidder, k:k + 1] for k in range(m)]
+    sizes = [len(axis) for axis in axes]
+    block = draw(st.sampled_from([1] + [b for b in (int(np.prod(sizes[k:])) for k in range(m))
+                                        if b <= 300]))
+    copies = int(np.prod(sizes)) // block
+    start = draw(st.integers(0, copies - 1))
+    stop = draw(st.integers(start + 1, min(copies, start + 300 // block)))
+    return mech, profile, bidder, axes, start * block, stop * block
+
+
+@settings(max_examples=400, deadline=None)
+@given(call=product_calls())
+def test_builtin_product_utilities_bitwise_equal_default(call):
+    # the broadcast sums add per-item terms in numpy's row-sum order: a sum
+    # in item order differs from eight items on, and one not started from
+    # +0.0 gave second price -0.0 where the rows give 0.0
+    mech, profile, bidder, axes, start, stop = call
+    v = profile[bidder]
+    fast = mech._product_utilities(profile, bidder, axes, v)(start, stop)
+    assert mech.evaluations == stop - start
+    default = ra.Mechanism._product_utilities(mech, profile, bidder, axes, v)(start, stop)
+    assert mech.evaluations == 2 * (stop - start)
+    assert fast.tobytes() == default.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 300), rows=st.integers(1, 4), seed=st.integers(0, 2**31 - 1))
+def test_row_sum_adds_in_numpy_row_sum_order(n, rows, seed):
+    # past 128 terms numpy halves the row; the product scans reach such sums
+    # only in item scans of m > 128 items, which the property above omits
+    g = np.random.default_rng(seed)
+    terms = g.standard_normal((rows, n)) * 10.0 ** g.integers(-8, 8, (rows, n))
+    terms[g.random((rows, n)) < 0.3] = -0.0
+    got = _row_sum([terms[:, k] for k in range(n)])
+    assert got.tobytes() == terms.sum(axis=1).tobytes()
+
+
+def _capped_ranges(mech, cap):
+    """Record the length of every range asked of the ``_product_utilities``
+    of ``mech``; each must be at most ``cap``."""
+    sizes = []
+    hook = mech._product_utilities
+
+    def recording(profile, bidder, axes, v):
+        utilities = hook(profile, bidder, axes, v)
+
+        def capped(start, stop):
+            sizes.append(stop - start)
+            assert stop - start <= cap
+            return utilities(start, stop)
+        return capped
+
+    mech._product_utilities = recording
+    return sizes
+
+
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+@settings(max_examples=10, deadline=None)
+@given(profile=profiles, bidder=st.integers(0, 1), q=st.integers(1, 25),
+       chunk=st.sampled_from([2, 3, 7, 13]))
+def test_product_scans_invariant_under_chunk_size(name, profile, bidder, q, chunk):
+    grid = ra.GridSpec(q)
+
+    def scans():
+        mech = BUILTINS[name](SETTING)
+        sizes = _capped_ranges(mech, estimators._SCAN_CHUNK)
+        exhaustive = ra.exhaustive_regret(mech, profile, bidder, grid)
+        scan = estimators._scan_all_items(mech, profile, bidder, grid)
+        return sizes, (exhaustive.value, exhaustive.best_misreport.tobytes(),
+                       exhaustive.mech_evals, scan.gains.tobytes(), scan.coords.tobytes(),
+                       scan.evaluations)
+
+    _, whole = scans()
+    with mock.patch.object(estimators, "_SCAN_CHUNK", chunk):
+        sizes, chunked = scans()
+    assert chunked == whole
+    assert max(sizes) <= chunk
 
 
 FD_MECHANISMS = {**BUILTINS, "constant": ConstantMechanism}
