@@ -15,11 +15,13 @@ Every scan is one product grid, one array of points per coordinate (the
 item scans' other coordinates are truthful singletons). The mechanism's
 ``_product_utilities`` hook gives its utilities at most ``_SCAN_CHUNK`` at a
 time: by default from the materialized rows, and for first and second price
-by adding each item's per-point terms over the product. A scan whose best
-gain is not strictly positive reports exactly 0 at the truthful row
-(``_clamp_gain``), so every estimate is nonnegative. A truthful row off the
-grid fills a scan slot that the cost formulas count and no estimate reads,
-so it is charged, not run (``Mechanism.evaluations``). Each estimator
+by adding each item's per-point terms over the product of the points whose
+terms differ from their predecessor's. A scan whose best gain is not
+strictly positive reports exactly 0 at the truthful row (``_clamp_gain``),
+so every estimate is nonnegative. Two kinds of scan slot are counted by the
+cost formulas and read by no estimate, so they are charged, not run
+(``Mechanism.evaluations``): a truthful row off the grid, and a row whose
+bits repeat an earlier row's through a point the hook drops. Each estimator
 reports the mechanism evaluations (by the mechanism's counter) and seconds
 it consumed. The per-item estimators scan, then read their estimate off the
 ``ItemScan`` (``item``, ``lower_bound``, ``item_wise``), which counts both in
@@ -36,7 +38,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import BudgetExceededError, InvalidInputError, check_float, check_int, check_type
-from .mechanisms import Mechanism, _lex_rows, as_floats, check_query
+from .mechanisms import Mechanism, as_floats, check_query
 
 DEFAULT_EVAL_BUDGET = 10**8
 _SCAN_CHUNK = 8192
@@ -162,41 +164,56 @@ class ItemScan:
         return self._estimate(METHOD_ITEM_WISE, float(self.gains.sum()))
 
 
+def _product_row(axes, at: int) -> np.ndarray:
+    """Row ``at`` of the lexicographic product of ``axes``, by divmod over
+    their sizes from the last axis."""
+    row = np.empty(len(axes))
+    for k in range(len(axes) - 1, -1, -1):
+        at, i = divmod(at, len(axes[k]))
+        row[k] = axes[k][i]
+    return row
+
+
 def _grid_best(mech: Mechanism, profile: np.ndarray, bidder: int, base: float, axes):
     """Clamped best gain over ``base`` of the misreport rows in the product
     of ``axes`` (one array of points per coordinate), with its row.
 
-    Rows are scanned in lexicographic order, at most ``_SCAN_CHUNK`` at a
-    time, and the first maximum wins; ``_clamp_gain`` gives the floor of 0.
-    Each chunk is whole copies of one trailing block, the product of the
-    last axes that fits in a chunk, and its utilities come from the
-    mechanism's ``_product_utilities``, which charges one evaluation per row;
-    the winning row is rebuilt alone. A non-finite utility raises
+    The mechanism's ``_product_utilities`` keeps some points of each axis;
+    a row through a dropped point repeats the bits of a lexicographically
+    earlier kept row, so scanning the product of the kept points finds the
+    full product's first maximum and first non-finite row, and each dropped
+    row is charged, not run. Kept rows are scanned in lexicographic order, at
+    most ``_SCAN_CHUNK`` at a time, and the first maximum wins;
+    ``_clamp_gain`` gives the floor of 0. Each chunk is whole copies of one
+    trailing block, the product of the last kept axes that fits in a chunk,
+    and the hook charges one evaluation per row it gives; the winning row is
+    rebuilt alone (``_product_row``). A non-finite utility raises
     InvalidInputError: a NaN would otherwise drop out of the argmax and leave
     a false 0.0. The estimator checked the profile and bidder once
     (``_prepare``), and grid rows lie in [0, 1], so the hook gets them
     unchecked.
     """
     truthful = profile[bidder]
-    sizes = [len(axis) for axis in axes]
-    lead = len(axes)
+    kept, utilities = mech._product_utilities(profile, bidder, axes, truthful)
+    sizes = [len(axis) for axis in kept]
+    lead = len(kept)
     while lead and math.prod(sizes[lead - 1:]) <= _SCAN_CHUNK:
         lead -= 1
     block, total = math.prod(sizes[lead:]), math.prod(sizes)
     step = _SCAN_CHUNK // block * block
-    utilities = mech._product_utilities(profile, bidder, axes, truthful)
     best_gain, best_at = -np.inf, 0
     for start in range(0, total, step):
         utils = utilities(start, min(start + step, total))
         if not np.isfinite(utils).all():
             at = start + int(np.argmin(np.isfinite(utils)))
             raise InvalidInputError(f"mechanism gives bidder {bidder} a non-finite misreport "
-                                    f"utility at {_lex_rows(axes, at, at + 1)[0].tolist()}")
+                                    f"utility at {_product_row(kept, at).tolist()}")
         gains = utils - base
         i = int(np.argmax(gains))
         if gains[i] > best_gain:
             best_gain, best_at = float(gains[i]), start + i
-    return _clamp_gain(best_gain, _lex_rows(axes, best_at, best_at + 1)[0], truthful)
+    mech._charge(math.prod(len(axis) for axis in axes) - total)
+    return _clamp_gain(best_gain, _product_row(kept, best_at), truthful)
 
 
 def _check_budget(max_evals: int, m: int, grid: GridSpec, exhaustive: bool = False) -> None:

@@ -126,11 +126,12 @@ class Mechanism:
     equal to the standalone estimator functions. The hooks receive checked
     arguments. A ``_misreport_utilities`` override must equal the default up
     to rounding (see ``SecondPriceAuction``) and charge one evaluation per
-    row; a ``_product_utilities`` override must give the default's bits and
-    charge one evaluation per product row. A subclass that replaces
-    ``_run_batch`` gets the default of every other hook it does not define
-    itself: an inherited override describes its parent's ``_run_batch``, not
-    this one.
+    row; a ``_product_utilities`` override must give the default's bits at
+    every row it keeps, drop only points whose rows repeat an earlier row's
+    bits, and charge one evaluation per row it evaluates. A subclass that
+    replaces ``_run_batch`` gets the default of every other hook it does not
+    define itself: an inherited override describes its parent's
+    ``_run_batch``, not this one.
     """
 
     def __init_subclass__(cls, **kwargs):
@@ -151,9 +152,11 @@ class Mechanism:
         """Evaluations charged so far: one per evaluated profile, gradient
         passes included. One that a cost formula counts but no estimate reads
         is charged, not run: each an ascent row skips once it retires at a
-        fixed point (``optimizer._ascend``), and a grid scan's off-grid
-        truthful slot (``estimators``). So the count can exceed the profiles
-        the mechanism actually evaluated."""
+        fixed point (``optimizer._ascend``), a grid scan's off-grid truthful
+        slot, and each product row through a point that
+        ``_product_utilities`` drops, whose bits an earlier row already gave
+        (``estimators``). So the count can exceed the profiles the mechanism
+        actually evaluated."""
         return self._evals
 
     def _charge(self, count: int) -> None:
@@ -186,11 +189,18 @@ class Mechanism:
     def _product_utilities(self, profile: np.ndarray, bidder: int, axes, v: np.ndarray):
         """One bidder's utilities over the lexicographic product of ``axes``
         (one array of points in [0, 1] per coordinate), with valuation row
-        ``v``, as a function ``utilities(start, stop)`` of a range of the
-        product's rows; one evaluation per row. The default builds the rows
-        (``_lex_rows``) and calls ``_misreport_utilities``; an override gives
-        the same bits, and does its per-scan work once, in this call."""
-        return lambda start, stop: self._misreport_utilities(
+        ``v``, as ``(kept, utilities)``: ``kept`` holds, per axis, the points
+        the hook keeps, in order, and ``utilities(start, stop)`` gives a range
+        of the rows of the product of ``kept``, one evaluation per row.
+
+        The default keeps every point, builds the rows (``_lex_rows``) and
+        calls ``_misreport_utilities``. An override does its per-scan work
+        once, in this call, and gives at each kept row the default's bits; it
+        may drop a point only where every row through it has the default's
+        bits at the row through the last kept point before it on its axis, so
+        a scan of the kept product finds the full product's first maximum and
+        first non-finite row."""
+        return axes, lambda start, stop: self._misreport_utilities(
             profile, bidder, _lex_rows(axes, start, stop), v)
 
     def run(self, bids) -> Tuple[np.ndarray, np.ndarray]:
@@ -222,7 +232,9 @@ class SecondPriceAuction(Mechanism):
     w * (v - p) rather than sum(w * v) - sum(w * p): truthful surplus is
     largest per item and float sums are monotone, so rounding never gains.
     Over a product grid each item's surplus takes one value per point, so a
-    scan adds those terms instead of evaluating rows.
+    scan adds those terms instead of evaluating rows, and keeps only an
+    item's first losing and first winning point: every winning bid has the
+    same surplus, every losing one 0.
     """
 
     def _run_batch(self, batch):
@@ -244,10 +256,10 @@ class SecondPriceAuction(Mechanism):
         return (w * (v - price)).sum(axis=1)
 
     def _product_utilities(self, profile, bidder, axes, v):
-        wins, omax = _axis_wins(profile, bidder, axes)
+        _, w, omax = _axis_wins(profile, bidder, axes)
         gap = v - (omax if self.setting.n > 1 else np.zeros_like(omax))
-        surplus = [w * gap[j] for j, w in enumerate(wins)]
-        return lambda start, stop: _product_sums(self, start, stop, surplus)[0]
+        kept, (surplus,) = _kept_terms(axes, w * gap)
+        return kept, lambda start, stop: _product_sums(self, start, stop, surplus)[0]
 
 
 class PerItemFirstPriceAuction(Mechanism):
@@ -256,7 +268,8 @@ class PerItemFirstPriceAuction(Mechanism):
     items never interact, item-wise regret equals the joint optimum. Over a
     product grid, as for second price, a scan adds per-item terms: each
     item's won value and its payment, summed apart as ``_misreport_utilities``
-    sums them.
+    sums them. A losing bid wins nothing and pays nothing, so an item keeps
+    only its first losing point and its winning ones.
     """
 
     def _run_batch(self, batch):
@@ -272,10 +285,9 @@ class PerItemFirstPriceAuction(Mechanism):
         return (w * v).sum(axis=1) - (w * rows).sum(axis=1)
 
     def _product_utilities(self, profile, bidder, axes, v):
-        wins, _ = _axis_wins(profile, bidder, axes)
-        won = [w * v[j] for j, w in enumerate(wins)]
-        paid = [w * axis for w, axis in zip(wins, axes)]
-        return lambda start, stop: np.subtract(*_product_sums(self, start, stop, won, paid))
+        rows, w, _ = _axis_wins(profile, bidder, axes)
+        kept, (won, paid) = _kept_terms(axes, w * v, w * rows)
+        return kept, lambda start, stop: np.subtract(*_product_sums(self, start, stop, won, paid))
 
 
 def _wins(profile: np.ndarray, bidder, rows: np.ndarray):
@@ -299,13 +311,31 @@ def _wins(profile: np.ndarray, bidder, rows: np.ndarray):
 
 def _axis_wins(profile: np.ndarray, bidder: int, axes):
     """``_wins`` of every axis's points on its own item, in one call on the
-    stacked per-axis rows (row t holds point t of each axis that long): the
-    win mask of each axis's points, and the others' per-item maximum bid."""
+    stacked per-axis rows (row t holds point t of each axis that long, 0 past
+    its end): those rows, their win mask and the others' per-item maximum
+    bid."""
     rows = np.zeros((max(len(axis) for axis in axes), len(axes)))
     for j, axis in enumerate(axes):
         rows[:len(axis), j] = axis
-    w, omax = _wins(profile, bidder, rows)
-    return [w[:len(axis), j] for j, axis in enumerate(axes)], omax
+    return (rows, *_wins(profile, bidder, rows))
+
+
+def _kept_terms(axes, *terms):
+    """The points of each axis that a product scan keeps, and each of
+    ``terms`` (stacked as the rows of ``_axis_wins``, column j for axis j)
+    at them, one array per axis. An axis keeps its first point and each
+    point with an entry of some term that differs, bit for bit, from the
+    point's just before it; a row through a dropped point adds the same
+    terms as the row through the last kept point before it, and so has its
+    bits."""
+    new = np.zeros(terms[0].shape, dtype=bool)
+    new[0] = True
+    for term in terms:
+        bits = term.view(np.int64)
+        new[1:] |= bits[1:] != bits[:-1]
+    keep = [new[:len(axis), j] for j, axis in enumerate(axes)]
+    return ([axis[k] for axis, k in zip(axes, keep)],
+            [[term[:len(k), j][k] for j, k in enumerate(keep)] for term in terms])
 
 
 def _product_index(sizes, start: int, stop: int):

@@ -120,6 +120,9 @@ def _ascend(mech: Mechanism, profiles: np.ndarray, bidders: np.ndarray, starts: 
     bits. Tracks the best utility over all visited iterates per row. A
     non-finite gradient freezes its row in place; the best iterate seen so
     far is kept. Returns (best_rows, best_utils, frozen), one entry per row.
+    The rows' profiles are stacked once; each call writes the active
+    iterates into that stack and passes it, checked by the entries above,
+    to the mechanism's hooks.
 
     A row whose step leaves its iterate bitwise unchanged, a frozen row
     among them, sits at a fixed point: a deterministic, row-independent
@@ -137,16 +140,17 @@ def _ascend(mech: Mechanism, profiles: np.ndarray, bidders: np.ndarray, starts: 
     v = profiles[np.arange(size), bidders]
     out_x, out_u, out_frozen = np.empty_like(x), np.empty(size), np.empty(size, dtype=bool)
     rows = np.arange(size)  # each active row's index in the returned arrays
+    batch = rows_to_profiles(profiles, bidders, x)  # each active row's profile at its iterate
 
     def evaluate(last):
         """Utilities of the active rows, their gradients unless no step
         follows, and the call's charge."""
         before = mech.evaluations
+        batch[np.arange(len(x)), bidders] = x
         if last:
-            u, g = mech._misreport_utilities(profiles, bidders, x, v), None
+            u, g = mech._misreport_utilities(batch, bidders, x, v), None
         else:
-            u, g = mech.utility_and_gradient_many(rows_to_profiles(profiles, bidders, x),
-                                                  bidders, v)
+            u, g = mech._gradient_batch(batch, bidders, v)
         return u, g, mech.evaluations - before
 
     evals0 = mech.evaluations
@@ -165,8 +169,8 @@ def _ascend(mech: Mechanism, profiles: np.ndarray, bidders: np.ndarray, starts: 
             out_x[rows[done]], out_u[rows[done]], out_frozen[rows[done]] = \
                 best_x[done], best_u[done], frozen[done]
             mech._charge(int(done.sum()) * ((steps - step) * per_row + 1))
-            rows, x_new, profiles, bidders, v, best_u, best_x, frozen = (
-                a[moving] for a in (rows, x_new, profiles, bidders, v, best_u, best_x, frozen))
+            rows, x_new, batch, bidders, v, best_u, best_x, frozen = (
+                a[moving] for a in (rows, x_new, batch, bidders, v, best_u, best_x, frozen))
             if not rows.size:
                 break
         x = x_new

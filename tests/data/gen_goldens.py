@@ -2,8 +2,12 @@
 
 The goldens pin the deterministic forward pass and the exhaustive grid
 oracle of the seeded 2x2 reference mechanism, and the whole report of a
-small serial audit of it with every wall-clock field zeroed. Regenerate
-only for a deliberate, logged numerics change, and review the diff.
+small serial audit of it with every wall-clock field zeroed. The neural
+goldens hold only under the numpy SIMD dispatch they were made with; two
+more reports, of serial audits of the closed-form first- and second-price
+auctions, call no dispatched transcendental function and so hold on every
+CPU. Regenerate only for a deliberate, logged numerics change, and review
+the diff.
 """
 
 import json
@@ -15,6 +19,8 @@ import regret_audit as ra
 
 OUT = Path(__file__).parent / "neural_2x2_seed42.json"
 REPORT_OUT = Path(__file__).parent / "report_neural_2x2_seed42.json"
+FIRST_PRICE_OUT = Path(__file__).parent / "report_first_price_2x5_q20.json"
+SECOND_PRICE_OUT = Path(__file__).parent / "report_second_price_2x2_q50.json"
 
 SETTING = ra.AuctionSetting(2, 2)
 MECH_SEED = 42
@@ -39,6 +45,48 @@ def report_config() -> ra.AuditRunConfig:
     )
 
 
+def first_price_config() -> ra.AuditRunConfig:
+    """A closed-form golden audit: the 21^5 exhaustive oracle of first price
+    2x5 beside its item scan and a guided ascent."""
+    setting = ra.AuctionSetting(2, 5)
+    return ra.AuditRunConfig(
+        setting=setting,
+        mechanism="first_price",
+        distribution=ra.ValuationDistribution(),
+        grid=ra.GridSpec(20),
+        methods=("exhaustive", "item_wise", "guided"),
+        pga=ra.PgaConfig(0.1, 1, 1),
+        portfolio=ra.PortfolioConfig(refine=ra.PgaConfig(1.0, 1, 25)),
+        samples=3,
+        seed=SAMPLE_SEED,
+    )
+
+
+def second_price_config() -> ra.AuditRunConfig:
+    """A closed-form golden audit: every method of the five-method set on
+    second price 2x2, whose every estimate is 0."""
+    return ra.AuditRunConfig(
+        setting=SETTING,
+        mechanism="second_price",
+        distribution=ra.ValuationDistribution(),
+        grid=ra.GridSpec(ORACLE_Q),
+        methods=("exhaustive", "lower_bound", "item_wise", "pga", "guided"),
+        pga=ra.PgaConfig(0.1, 10, 100),
+        portfolio=ra.PortfolioConfig(k=2, sigma_opt=0.3, sigma_truth=0.3,
+                                     refine=ra.PgaConfig(0.1, 1, 100)),
+        samples=4,
+        seed=SAMPLE_SEED,
+    )
+
+
+#: each golden report's file and the config of its audit
+REPORTS = {
+    REPORT_OUT: report_config,
+    FIRST_PRICE_OUT: first_price_config,
+    SECOND_PRICE_OUT: second_price_config,
+}
+
+
 def zero_wall_clock(data):
     if isinstance(data, dict):
         return {k: (0.0 if k == "wall_seconds" else zero_wall_clock(v)) for k, v in data.items()}
@@ -47,11 +95,11 @@ def zero_wall_clock(data):
     return data
 
 
-def golden_report_text(out_dir) -> str:
-    """Run the golden audit serially and return its report with wall clock
-    zeroed, serialized as the golden file stores it."""
+def golden_report_text(out_dir, config=report_config) -> str:
+    """Run the golden audit of ``config`` serially and return its report with
+    wall clock zeroed, serialized as the golden file stores it."""
     path = Path(out_dir) / "report.json"
-    ra.run_audit(replace(report_config(), out=str(path)), workers=1)
+    ra.run_audit(replace(config(), out=str(path)), workers=1)
     data = zero_wall_clock(json.loads(path.read_text(encoding="utf-8")))
     return json.dumps(data, indent=2) + "\n"
 
@@ -78,9 +126,10 @@ def main():
     }
     OUT.write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {OUT}")
-    with tempfile.TemporaryDirectory() as tmp:
-        REPORT_OUT.write_text(golden_report_text(tmp), encoding="utf-8")
-    print(f"wrote {REPORT_OUT}")
+    for out, config in REPORTS.items():
+        with tempfile.TemporaryDirectory() as tmp:
+            out.write_text(golden_report_text(tmp, config), encoding="utf-8")
+        print(f"wrote {out}")
 
 
 if __name__ == "__main__":

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -247,16 +248,20 @@ class TestEvalAccounting:
         assert mech.evaluations == 0
 
 class TestChargedNotRun:
-    """A scan's off-grid truthful slot is charged, not run: the counts keep
-    the cost formulas while the mechanism runs only the rows a scan reads."""
+    """A scan's off-grid truthful slot, and each row through a point the
+    product hook drops, is charged, not run: the counts keep the cost
+    formulas while the mechanism runs only the rows a scan reads."""
 
     OFF_GRID = np.array([[0.33, 0.47], [0.2, 0.5]])
     ON_GRID = np.array([[0.8, 0.5], [0.3, 0.1]])
 
     @pytest.mark.parametrize("profile, exhaustive, item_scan", [
-        # executed 1 + 11^2 and 1 + 2 * 11 rows; the scans used to run 123 and 25
-        (OFF_GRID, (122, 123), (23, 25)),
-        (ON_GRID, (122, 122), (23, 23)),
+        # item 0 loses below the other bid, 0.2 or 0.3, and item 1 below 0.5
+        # or 0.1, and a losing point repeats the one before it: executed
+        # 1 + 10 * 7 and 1 + 10 + 7 rows off grid, 1 + 9 * 11 and 1 + 9 + 11
+        # on it; the scans used to run 123 and 25, then 122 and 23
+        (OFF_GRID, (71, 123), (18, 25)),
+        (ON_GRID, (100, 122), (21, 23)),
     ], ids=["off_grid", "on_grid"])
     def test_executed_and_charged_rows(self, monkeypatch, profile, exhaustive, item_scan):
         # the executed rows: the truthful rows, and the product rows a scan
@@ -270,12 +275,12 @@ class TestChargedNotRun:
             return hook(self, profile, bidder, rows, v)
 
         def counted_product(self, profile, bidder, axes, v):
-            utilities = product(self, profile, bidder, axes, v)
+            kept, utilities = product(self, profile, bidder, axes, v)
 
             def counted_range(start, stop):
                 executed.append(stop - start)
                 return utilities(start, stop)
-            return counted_range
+            return kept, counted_range
 
         monkeypatch.setattr(ra.PerItemFirstPriceAuction, "_misreport_utilities", counted)
         monkeypatch.setattr(ra.PerItemFirstPriceAuction, "_product_utilities", counted_product)
@@ -286,6 +291,27 @@ class TestChargedNotRun:
         executed.clear()
         scan = estimators._scan_all_items(mech, profile, 0, grid)
         assert (sum(executed), scan.evaluations) == item_scan
+
+    def test_seed_601_oracle_runs_a_few_percent_of_its_rows(self, monkeypatch):
+        # the first-price 2x5 oracle at q=20 of the benchmark's seed 601:
+        # a losing bid repeats the point before it, so of the 21^5 rows the
+        # scans run 28,800 and 29,952 and charge the rest
+        executed = []
+        product = ra.PerItemFirstPriceAuction._product_utilities
+
+        def counted_product(self, profile, bidder, axes, v):
+            kept, utilities = product(self, profile, bidder, axes, v)
+            executed.append(math.prod(len(points) for points in kept))
+            return kept, utilities
+
+        monkeypatch.setattr(ra.PerItemFirstPriceAuction, "_product_utilities", counted_product)
+        setting = ra.AuctionSetting(2, 5)
+        profile = ra.sample_valuations(ra.ValuationDistribution(), setting, 0, 601)
+        mech = ra.PerItemFirstPriceAuction(setting)
+        evals = [ra.exhaustive_regret(mech, profile, bidder, ra.GridSpec(20)).mech_evals
+                 for bidder in range(2)]
+        assert executed == [28800, 29952]
+        assert evals == [21 ** 5 + 2] * 2
 
 
 class TestBoundChain:

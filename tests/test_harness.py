@@ -554,6 +554,15 @@ class TestNonFiniteCandidatesInAudit:
             ra.run_audit(cfg)
 
 
+def _gen_goldens():
+    """``tests/data/gen_goldens.py``, loaded as a module."""
+    path = Path(__file__).parent / "data" / "gen_goldens.py"
+    spec = importlib.util.spec_from_file_location("gen_goldens", path)
+    gen_goldens = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen_goldens)
+    return gen_goldens
+
+
 class TestDeterminism:
     def test_repeat_runs_identical_reports(self, tmp_path):
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -565,12 +574,18 @@ class TestDeterminism:
 
     def test_report_matches_golden_bytes(self, tmp_path):
         # every byte of a serial report except wall clock is frozen
-        data_dir = Path(__file__).parent / "data"
-        spec = importlib.util.spec_from_file_location("gen_goldens", data_dir / "gen_goldens.py")
-        gen_goldens = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(gen_goldens)
+        gen_goldens = _gen_goldens()
         golden = gen_goldens.REPORT_OUT.read_text(encoding="utf-8")
         assert gen_goldens.golden_report_text(tmp_path) == golden
+
+    @pytest.mark.parametrize("name", ["FIRST_PRICE_OUT", "SECOND_PRICE_OUT"])
+    def test_closed_form_report_matches_golden_bytes(self, tmp_path, name):
+        # the built-in auctions call no CPU-dispatched kernel, so these
+        # reports guard the scan path byte for byte on every CPU
+        gen_goldens = _gen_goldens()
+        out = getattr(gen_goldens, name)
+        golden = out.read_text(encoding="utf-8")
+        assert gen_goldens.golden_report_text(tmp_path, gen_goldens.REPORTS[out]) == golden
 
     def test_parallel_matches_serial_bitwise(self, monkeypatch):
         # run_audit starts at most one worker per CPU; pretend there are 4 so the pool starts

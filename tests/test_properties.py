@@ -2,8 +2,8 @@
 ascent, retired ascent rows against the full-batch loop, report equality
 across worker counts, restart nesting, monotone grid refinement, the exact
 bound chain, chunk invariance of the grid scans,
-the built-in auctions' direct misreport and product-grid utilities against
-the default path
+the built-in auctions' direct misreport and product-grid utilities, and
+their scans of the kept product, against the default path
 and the closed-form grid regret, the one-call finite-difference gradient
 against separately evaluated probes, the neural affine layer against its
 in-order loop, the feature-major neural kernel against a batch-major
@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 import regret_audit as ra
 from regret_audit import estimators
-from regret_audit.mechanisms import _AFFINE_REDUCE_MAX, _affine, _row_sum
+from regret_audit.mechanisms import _AFFINE_REDUCE_MAX, _affine, _lex_rows, _row_sum
 from regret_audit.optimizer import _ascend, _best_candidate
 from regret_audit.report import report_to_dict
 
@@ -314,14 +314,30 @@ def product_calls(draw):
 def test_builtin_product_utilities_bitwise_equal_default(call):
     # the broadcast sums add per-item terms in numpy's row-sum order: a sum
     # in item order differs from eight items on, and one not started from
-    # +0.0 gave second price -0.0 where the rows give 0.0
+    # +0.0 gave second price -0.0 where the rows give 0.0. The override
+    # keeps some points of each axis, its first among them, and each row of
+    # the full product has its bits at its representative: each coordinate
+    # at the last kept point at or before it on its axis
     mech, profile, bidder, axes, start, stop = call
     v = profile[bidder]
-    fast = mech._product_utilities(profile, bidder, axes, v)(start, stop)
+    every, default = ra.Mechanism._product_utilities(mech, profile, bidder, axes, v)
+    assert every is axes
+    want = default(start, stop)
     assert mech.evaluations == stop - start
-    default = ra.Mechanism._product_utilities(mech, profile, bidder, axes, v)(start, stop)
-    assert mech.evaluations == 2 * (stop - start)
-    assert fast.tobytes() == default.tobytes()
+    kept, fast = mech._product_utilities(profile, bidder, axes, v)
+    for axis, points in zip(axes, kept):
+        assert points[0] == axis[0] and np.isin(points, axis).all()
+        assert (np.diff(points) > 0).all()
+    rows = _lex_rows(axes, start, stop)
+    at = np.ravel_multi_index([np.searchsorted(points, rows[:, k], side="right") - 1
+                               for k, points in enumerate(kept)],
+                              [len(points) for points in kept])
+    got = np.empty(len(at))
+    for i in np.unique(at):
+        evals = mech.evaluations
+        got[at == i] = fast(i, i + 1)
+        assert mech.evaluations == evals + 1
+    assert got.tobytes() == want.tobytes()
 
 
 @settings(max_examples=60, deadline=None)
@@ -343,13 +359,13 @@ def _capped_ranges(mech, cap):
     hook = mech._product_utilities
 
     def recording(profile, bidder, axes, v):
-        utilities = hook(profile, bidder, axes, v)
+        kept, utilities = hook(profile, bidder, axes, v)
 
         def capped(start, stop):
             sizes.append(stop - start)
             assert stop - start <= cap
             return utilities(start, stop)
-        return capped
+        return kept, capped
 
     mech._product_utilities = recording
     return sizes
@@ -376,6 +392,41 @@ def test_product_scans_invariant_under_chunk_size(name, profile, bidder, q, chun
         sizes, chunked = scans()
     assert chunked == whole
     assert max(sizes) <= chunk
+
+
+@st.composite
+def scan_cells(draw):
+    """(built-in name, profile, bidder, grid) for a scan: values on a grid
+    of eighths, so that bids tie, the bidder's row sometimes off it."""
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    profile = np.array(draw(st.lists(st.integers(0, 8), min_size=n * m,
+                                     max_size=n * m))).reshape(n, m) / 8
+    bidder = draw(st.integers(0, n - 1))
+    if draw(st.booleans()):
+        profile[bidder] = draw(st.lists(st.floats(0.0, 1.0), min_size=m, max_size=m))
+    grid = ra.GridSpec(draw(st.integers(1, 7)), draw(st.sampled_from(estimators.GRID_STYLES)))
+    return draw(st.sampled_from(sorted(BUILTINS))), profile, bidder, grid
+
+
+@settings(max_examples=150, deadline=None)
+@given(cell=scan_cells())
+def test_builtin_scans_equal_scans_of_every_row(cell):
+    # the overrides drop points whose rows repeat an earlier row's bits; a
+    # scan of the kept product reports and charges what a scan of every row
+    # through the default hook does
+    name, profile, bidder, grid = cell
+
+    class EveryRow(BUILTINS[name]):
+        _product_utilities = ra.Mechanism._product_utilities
+
+    def scans(mech):
+        exhaustive = ra.exhaustive_regret(mech, profile, bidder, grid)
+        scan = estimators._scan_all_items(mech, profile, bidder, grid)
+        return (exhaustive.value, exhaustive.best_misreport.tobytes(), exhaustive.mech_evals,
+                scan.gains.tobytes(), scan.coords.tobytes(), scan.evaluations, mech.evaluations)
+
+    setting = ra.AuctionSetting(*profile.shape)
+    assert scans(BUILTINS[name](setting)) == scans(EveryRow(setting))
 
 
 FD_MECHANISMS = {**BUILTINS, "constant": ConstantMechanism}
