@@ -3,11 +3,13 @@
 import json
 import threading
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import regret_audit as ra
+from regret_audit import estimators
 from regret_audit.mechanisms import fd_gradient_rows, rows_to_profiles
 
 from conftest import ConstantMechanism, uniform_profile
@@ -450,11 +452,44 @@ class TestHookDefaults:
         assert ra.random_restart_pga(mech, PROFILE_2X2, 0, ra.PgaConfig(0.1, 5, 20), 7).value == 0.0
         assert ra.guided_refinement(mech, PROFILE_2X2, 0, ra.GridSpec(20),
                                     ra.PortfolioConfig(), 7).value == 0.0
+        # the network's product hook would scan the parent's utilities
+        assert ZeroNeural._product_utilities is ra.Mechanism._product_utilities
         assert ra.exhaustive_regret(mech, PROFILE_2X2, 0, ra.GridSpec(20)).value == 0.0
+        assert ra.item_wise_regret(mech, PROFILE_2X2, 0, ra.GridSpec(20)).value == 0.0
         batch = np.stack([PROFILE_2X2, ROWS_2X2])
         utils, _ = mech.utility_and_gradient_many(batch, 0, PROFILE_2X2[0])
         rows = batch[:, 0]
         assert np.array_equal(utils, ra.evaluate_misreports(mech, batch, 0, rows, PROFILE_2X2[0]))
+
+
+class EveryRowNeural(ra.NeuralMechanism):
+    """The neural mechanism scanning through the default product hook."""
+
+    _product_utilities = ra.Mechanism._product_utilities
+
+
+class TestNeuralProductScan:
+    """The neural 2x2 h16 item scan of the benchmark's eval-default
+    workload, at q=1000 and its first profile of seed 601."""
+
+    SPEC = ra.generate_neural_spec(ra.AuctionSetting(2, 2), 16, 42)
+    PROFILE = uniform_profile(ra.AuctionSetting(2, 2), 0, 601)
+
+    def _scan(self, mech, bidder):
+        scan = estimators._scan_all_items(mech, self.PROFILE, bidder, ra.GridSpec(1000))
+        return (scan.base, scan.gains.tobytes(), scan.coords.tobytes(), scan.evaluations,
+                mech.evaluations)
+
+    @pytest.mark.parametrize("bidder", [0, 1])
+    def test_grid_rows_run_no_batch(self, bidder):
+        # _prepare's truthful row is the one batch; the 2 x 1001 grid rows
+        # go through the product form
+        mech = ra.NeuralMechanism(self.SPEC)
+        with mock.patch.object(mech, "_run_batch", wraps=mech._run_batch) as run_batch:
+            got = self._scan(mech, bidder)
+        assert [call.args[0].shape for call in run_batch.call_args_list] == [(1, 2, 2)]
+        assert got[3] == 1 + 2 * 1001 + 2  # two off-grid truthful slots, charged
+        assert got == self._scan(EveryRowNeural(self.SPEC), bidder)
 
 
 class TestNeuralSpec:

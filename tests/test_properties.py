@@ -2,16 +2,18 @@
 ascent, retired ascent rows against the full-batch loop, report equality
 across worker counts, restart nesting, monotone grid refinement, the exact
 bound chain, chunk invariance of the grid scans,
-the built-in auctions' direct misreport and product-grid utilities, and
-their scans of the kept product, against the default path
-and the closed-form grid regret, the one-call finite-difference gradient
-against separately evaluated probes, the neural affine layer against its
-in-order loop, the feature-major neural kernel against a batch-major
-reference, report reading under mutation, and the search's
+the built-in auctions' direct misreport utilities, their and the neural
+mechanism's product-grid utilities and scans of the kept product, against
+the default path, and the closed-form grid regret, the one-call
+finite-difference gradient against separately evaluated probes, the neural
+affine layer against its in-order loop, the feature-major neural kernel
+against a batch-major reference and its gradient pass's utilities against
+its misreport utilities, report reading under mutation, and the search's
 tie-break among equal best utilities."""
 
 import copy
 import json
+from functools import partial
 from pathlib import Path
 from unittest import mock
 
@@ -280,19 +282,39 @@ def test_builtin_misreport_utilities_bitwise_equal_default(call):
     assert fast.tobytes() == default.tobytes()
 
 
+def product_mechanisms(setting):
+    """A factory of a mechanism with its own ``_product_utilities`` for
+    ``setting``: a built-in auction, or a neural mechanism of hidden width
+    1-20 and any weight seed."""
+    specs = st.builds(ra.generate_neural_spec, st.just(setting), st.integers(1, 20),
+                      st.integers(0, 2**31 - 1))
+    auctions = [partial(BUILTINS[name], setting) for name in sorted(BUILTINS)]
+    return st.one_of(st.sampled_from(auctions),
+                     specs.map(lambda spec: partial(ra.NeuralMechanism, spec)))
+
+
+def _every_row(make):
+    """The mechanism ``make`` builds, scanning through the default
+    ``_product_utilities``: it builds every row."""
+    mech = make()
+    mech._product_utilities = partial(ra.Mechanism._product_utilities, mech)
+    return mech
+
+
 @st.composite
 def product_calls(draw):
-    """(mechanism, profile, bidder, axes, start, stop) for a built-in's
-    ``_product_utilities``: values on a grid of eighths, so that bids tie,
-    the bidder's row sometimes off it, the axes of an exhaustive scan or of
-    one item's scan (the other coordinates truthful singletons), and a range
-    of at most 300 rows, sometimes whole copies of a trailing block."""
+    """(mechanism, profile, bidder, axes, start, stop) for a
+    ``_product_utilities`` override: values on a grid of eighths, so that
+    bids tie, the bidder's row sometimes off it, the axes of an exhaustive
+    scan or of one item's scan (the other coordinates truthful singletons),
+    and a range of at most 300 rows, sometimes whole copies of a trailing
+    block."""
     n, m, q = draw(st.integers(1, 4)), draw(st.integers(1, 10)), draw(st.integers(1, 7))
 
     def values(count, value):
         return np.array(draw(st.lists(value, min_size=count, max_size=count)))
 
-    mech = BUILTINS[draw(st.sampled_from(sorted(BUILTINS)))](ra.AuctionSetting(n, m))
+    mech = draw(product_mechanisms(ra.AuctionSetting(n, m)))()
     profile = values(n * m, st.integers(0, 8)).reshape(n, m) / 8
     bidder = draw(st.integers(0, n - 1))
     if draw(st.booleans()):
@@ -309,15 +331,42 @@ def product_calls(draw):
     return mech, profile, bidder, axes, start * block, stop * block
 
 
+def _neural_call(profile, bidder, width, seed, q, item, start, stop):
+    """A ``product_calls`` draw of a neural mechanism: ``item``'s scan, or
+    the exhaustive one when None, at the inclusive grid of ``q``."""
+    profile = np.array(profile)
+    mech = ra.NeuralMechanism(ra.generate_neural_spec(ra.AuctionSetting(*profile.shape),
+                                                      width, seed))
+    points = ra.GridSpec(q).points
+    axes = [points if item in (None, k) else profile[bidder, k:k + 1]
+            for k in range(profile.shape[1])]
+    return mech, profile, bidder, axes, start, stop
+
+
 @settings(max_examples=400, deadline=None)
 @given(call=product_calls())
+# guided_default's item scan: 1001 rows put the output layer above the reduce cutoff
+@example(call=_neural_call([[0.3, 0.6], [0.55, 0.2]], 0, 16, 42, 1000, 0, 0, 1001))
+# m >= 8: numpy sums the m items pairwise
+@example(call=_neural_call(np.arange(27).reshape(3, 9) / 27, 1, 7, 3, 2, None, 972, 1215))
+# one item and n + 1 >= 8 outcomes: the softmax total is a pairwise sum
+@example(call=_neural_call(np.arange(7).reshape(7, 1) / 8, 4, 5, 4, 7, None, 0, 8))
+# hidden width 1, on a range that is no whole copy of a block
+@example(call=_neural_call([[0.5, 0.25, 1.0, 0.0], [0.125, 0.75, 0.5, 0.5]], 1, 1, 5, 3,
+                           None, 5, 77))
+# the bidder's row off the grid: its singleton coordinates are off-grid constants
+@example(call=_neural_call([[0.5, 0.25, 1.0], [0.3, 0.71, 0.05], [0.0, 0.375, 0.5]], 1, 9, 6,
+                           4, 1, 0, 5))
+# -0.0 entries, the bidder's truthful singleton among them
+@example(call=_neural_call([[-0.0, 0.5], [0.25, -0.0]], 1, 16, 7, 4, 0, 0, 5))
 def test_builtin_product_utilities_bitwise_equal_default(call):
     # the broadcast sums add per-item terms in numpy's row-sum order: a sum
     # in item order differs from eight items on, and one not started from
     # +0.0 gave second price -0.0 where the rows give 0.0. The override
     # keeps some points of each axis, its first among them, and each row of
     # the full product has its bits at its representative: each coordinate
-    # at the last kept point at or before it on its axis
+    # at the last kept point at or before it on its axis. The neural
+    # override keeps every point and adds its input layer in product form
     mech, profile, bidder, axes, start, stop = call
     v = profile[bidder]
     every, default = ra.Mechanism._product_utilities(mech, profile, bidder, axes, v)
@@ -332,11 +381,14 @@ def test_builtin_product_utilities_bitwise_equal_default(call):
     at = np.ravel_multi_index([np.searchsorted(points, rows[:, k], side="right") - 1
                                for k, points in enumerate(kept)],
                               [len(points) for points in kept])
-    got = np.empty(len(at))
-    for i in np.unique(at):
+    # each run of consecutive representatives in one range
+    reps = np.unique(at)
+    parts = []
+    for run in np.split(reps, np.flatnonzero(np.diff(reps) > 1) + 1):
         evals = mech.evaluations
-        got[at == i] = fast(i, i + 1)
-        assert mech.evaluations == evals + 1
+        parts.append(fast(run[0], run[-1] + 1))
+        assert mech.evaluations == evals + len(run)
+    got = np.concatenate(parts)[np.searchsorted(reps, at)]
     assert got.tobytes() == want.tobytes()
 
 
@@ -371,15 +423,17 @@ def _capped_ranges(mech, cap):
     return sizes
 
 
-@pytest.mark.parametrize("name", sorted(BUILTINS))
+@pytest.mark.parametrize("name", sorted(BUILTINS) + ["neural"])
 @settings(max_examples=10, deadline=None)
 @given(profile=profiles, bidder=st.integers(0, 1), q=st.integers(1, 25),
-       chunk=st.sampled_from([2, 3, 7, 13]))
-def test_product_scans_invariant_under_chunk_size(name, profile, bidder, q, chunk):
+       chunk=st.sampled_from([2, 3, 7, 13]),
+       spec=st.tuples(st.integers(1, 20), st.integers(0, 2**31 - 1)))
+def test_product_scans_invariant_under_chunk_size(name, profile, bidder, q, chunk, spec):
     grid = ra.GridSpec(q)
 
     def scans():
-        mech = BUILTINS[name](SETTING)
+        mech = (ra.NeuralMechanism(ra.generate_neural_spec(SETTING, *spec)) if name == "neural"
+                else BUILTINS[name](SETTING))
         sizes = _capped_ranges(mech, estimators._SCAN_CHUNK)
         exhaustive = ra.exhaustive_regret(mech, profile, bidder, grid)
         scan = estimators._scan_all_items(mech, profile, bidder, grid)
@@ -396,8 +450,8 @@ def test_product_scans_invariant_under_chunk_size(name, profile, bidder, q, chun
 
 @st.composite
 def scan_cells(draw):
-    """(built-in name, profile, bidder, grid) for a scan: values on a grid
-    of eighths, so that bids tie, the bidder's row sometimes off it."""
+    """(mechanism factory, profile, bidder, grid) for a scan: values on a
+    grid of eighths, so that bids tie, the bidder's row sometimes off it."""
     n, m = draw(st.integers(1, 3)), draw(st.integers(1, 4))
     profile = np.array(draw(st.lists(st.integers(0, 8), min_size=n * m,
                                      max_size=n * m))).reshape(n, m) / 8
@@ -405,19 +459,17 @@ def scan_cells(draw):
     if draw(st.booleans()):
         profile[bidder] = draw(st.lists(st.floats(0.0, 1.0), min_size=m, max_size=m))
     grid = ra.GridSpec(draw(st.integers(1, 7)), draw(st.sampled_from(estimators.GRID_STYLES)))
-    return draw(st.sampled_from(sorted(BUILTINS))), profile, bidder, grid
+    return draw(product_mechanisms(ra.AuctionSetting(n, m))), profile, bidder, grid
 
 
 @settings(max_examples=150, deadline=None)
 @given(cell=scan_cells())
 def test_builtin_scans_equal_scans_of_every_row(cell):
-    # the overrides drop points whose rows repeat an earlier row's bits; a
-    # scan of the kept product reports and charges what a scan of every row
-    # through the default hook does
-    name, profile, bidder, grid = cell
-
-    class EveryRow(BUILTINS[name]):
-        _product_utilities = ra.Mechanism._product_utilities
+    # the built-in overrides drop points whose rows repeat an earlier row's
+    # bits, and the neural one keeps every point; a scan of the kept product
+    # reports and charges what a scan of every row through the default hook
+    # does
+    make, profile, bidder, grid = cell
 
     def scans(mech):
         exhaustive = ra.exhaustive_regret(mech, profile, bidder, grid)
@@ -425,8 +477,7 @@ def test_builtin_scans_equal_scans_of_every_row(cell):
         return (exhaustive.value, exhaustive.best_misreport.tobytes(), exhaustive.mech_evals,
                 scan.gains.tobytes(), scan.coords.tobytes(), scan.evaluations, mech.evaluations)
 
-    setting = ra.AuctionSetting(*profile.shape)
-    assert scans(BUILTINS[name](setting)) == scans(EveryRow(setting))
+    assert scans(make()) == scans(_every_row(make))
 
 
 FD_MECHANISMS = {**BUILTINS, "constant": ConstantMechanism}
@@ -639,6 +690,17 @@ def kernel_cases(draw):
             draw(st.booleans()), draw(st.booleans()))
 
 
+def _kernel_query(case):
+    """The (B, n, m) batch, with some bids 0.0, and the bidder and valuation
+    of a ``kernel_cases`` draw."""
+    n, m, _, B, seed, per_row_bidder, per_row_v = case
+    g = np.random.default_rng(seed)
+    batch = g.random((B, n, m))
+    batch[g.random(batch.shape) < 0.1] = 0.0
+    bidder = g.integers(0, n, B) if per_row_bidder else int(g.integers(0, n))
+    return batch, bidder, g.random((B, m) if per_row_v else m)
+
+
 @settings(max_examples=40, deadline=None)
 @given(case=kernel_cases())
 # m >= 8: numpy sums the m items pairwise, which only a contiguous axis matches
@@ -650,21 +712,36 @@ def kernel_cases(draw):
 @example(case=(2, 4, 1, 1, 6, False, False))
 # at B = 1001 the output layer's buffer is above the reduce cutoff, the others below
 @example(case=(4, 10, 1, 1001, 7, True, True))
+# an ascent call: the gradient pass picks each row's bidder's outputs alone
+@example(case=(3, 2, 16, 48, 8, True, False))
+@example(case=(4, 2, 16, 48, 9, False, True))
 def test_neural_kernel_bitwise_equal_batch_major(case):
     n, m, width, B, seed, per_row_bidder, per_row_v = case
     spec = ra.generate_neural_spec(ra.AuctionSetting(n, m), width, seed)
     kernel, reference = ra.NeuralMechanism(spec), BatchMajorNeural(spec)
-    g = np.random.default_rng(seed)
-    batch = g.random((B, n, m))
-    batch[g.random(batch.shape) < 0.1] = 0.0
+    batch, bidder, v = _kernel_query(case)
     for got, want in zip(kernel.run_many(batch), reference.run_many(batch)):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
-    bidder = g.integers(0, n, B) if per_row_bidder else int(g.integers(0, n))
-    v = g.random((B, m) if per_row_v else m)
     for got, want in zip(kernel.utility_and_gradient_many(batch, bidder, v),
                          reference.utility_and_gradient_many(batch, bidder, v)):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
     assert kernel.evaluations == reference.evaluations == 2 * B
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=kernel_cases())
+@example(case=(2, 9, 16, 1001, 3, True, False))
+@example(case=(8, 1, 6, 48, 5, True, True))
+@example(case=(3, 2, 16, 48, 8, True, False))
+def test_neural_gradient_utilities_bitwise_equal_misreport_utilities(case):
+    # the ascent's best-so-far compares the gradient pass's utilities with
+    # those of _misreport_utilities, which its last step calls
+    n, m, width, B, seed, _, _ = case
+    mech = ra.NeuralMechanism(ra.generate_neural_spec(ra.AuctionSetting(n, m), width, seed))
+    batch, bidder, v = _kernel_query(case)
+    u, _ = mech._gradient_batch(batch, bidder, v)
+    rows = batch[np.arange(B), bidder]
+    assert u.tobytes() == mech._misreport_utilities(batch, bidder, rows, v).tobytes()
 
 
 GOLDEN_REPORT = json.loads(
